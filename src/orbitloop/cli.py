@@ -29,7 +29,7 @@ from .dynamics import (
     lambert_solve,
     linearize_plant,
 )
-from .errors import ScenarioError
+from .errors import GammaRangeError, ScenarioError, SynthesisError
 from .linalg import eigenvalues, rank
 from .ltisys import (
     StateSpace,
@@ -50,7 +50,6 @@ from .simulate import (
     REFERENCE_NATURAL_FREQ_SQ,
     REFERENCE_SRP_PRESSURE_PA,
     Scenario,
-    assemble_separation_loop,
     compare_methods,
     compute_metrics,
     propagate_two_body,
@@ -59,9 +58,8 @@ from .simulate import (
     synthesize_for_scenario,
 )
 from .synthesis import (
-    GammaRangeError,
-    SynthesisError,
     Weights,
+    assemble_separation_loop,
     hinf_state_feedback,
     lqr_loop_transfer,
     observer_compensator,
@@ -634,19 +632,21 @@ def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
 
 def _settling_from_step(t, y, band):
     """Settling time of each disturbance-step output relative to its final
-    value; returns the worst channel (None when a channel never settles)."""
+    value; returns the worst channel (None when a channel never settles).
+    Channels peaking at most 1e-12 of the largest peak are roundoff around
+    an exact zero, whose settling time would be noise, and are skipped."""
+    peaks = np.abs(y).max(axis=0)
     worst = 0.0
-    for out in range(y.shape[1]):
-        for inp in range(y.shape[2]):
-            series = y[:, out, inp]
-            final = series[-1]
-            spread = np.abs(series - final)
-            scale = max(abs(final), spread.max(), 1e-30)
-            suffix = np.maximum.accumulate(spread[::-1])[::-1]
-            idx = np.nonzero(suffix <= band * scale)[0]
-            if idx.size == 0:
-                return None
-            worst = max(worst, float(t[idx[0]]))
+    for out, inp in zip(*np.nonzero(peaks > 1e-12 * peaks.max())):
+        series = y[:, out, inp]
+        final = series[-1]
+        spread = np.abs(series - final)
+        scale = max(abs(final), spread.max(), 1e-30)
+        suffix = np.maximum.accumulate(spread[::-1])[::-1]
+        idx = np.nonzero(suffix <= band * scale)[0]
+        if idx.size == 0:
+            return None
+        worst = max(worst, float(t[idx[0]]))
     return worst
 
 

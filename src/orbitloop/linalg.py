@@ -2,9 +2,9 @@
 
 Factorizations are delegated to LAPACK through numpy/scipy (eigenvalues via
 Hessenberg reduction + shifted QR, rank via SVD, expm via scaling-and-squaring
-with a Pade kernel); the Lyapunov solve is a dense Kronecker vectorization,
-which is exact enough at these sizes.  All entry points validate that inputs
-are finite real matrices so NaN/Inf never propagate silently.
+with a Pade kernel, the Lyapunov solve via Bartels-Stewart).  All entry
+points validate that inputs are finite real matrices so NaN/Inf never
+propagate silently.
 """
 
 from __future__ import annotations
@@ -167,10 +167,10 @@ def expm(m, t: float = 1.0) -> np.ndarray:
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve the continuous Lyapunov equation a'P + P a + q = 0.
 
-    Uses the dense Kronecker vectorization of the n^2 x n^2 linear system;
-    the returned P is explicitly symmetrized.  Raises NoUniqueSolutionError
-    when some pair of eigenvalues of `a` sums to (numerically) zero, which
-    is exactly the singular case of the vectorized system.
+    Bartels-Stewart Schur solve (scipy); the returned P is explicitly
+    symmetrized.  Raises NoUniqueSolutionError when some pair of eigenvalues
+    of `a` sums to (numerically) zero, the case in which the equation has no
+    unique solution.
     """
     am = _square(a, "a")
     qm = _square(q, "q")
@@ -185,10 +185,5 @@ def solve_lyapunov(a, q) -> np.ndarray:
             "eigenvalue pair of `a` sums to zero; Lyapunov equation has no "
             "unique solution"
         )
-    eye = np.eye(n)
-    mat = np.kron(eye, am.T) + np.kron(am.T, eye)
-    # Column-major vectorization: vec(a'P) = (I (x) a') vec(P),
-    # vec(P a) = (a' (x) I) vec(P).
-    vec_p = np.linalg.solve(mat, -qm.flatten(order="F"))
-    p = vec_p.reshape((n, n), order="F")
+    p = scipy.linalg.solve_continuous_lyapunov(am.T, -qm)
     return 0.5 * (p + p.T)

@@ -157,6 +157,10 @@ class Scenario:
             raise ValueError("settle band must lie in (0, 1)")
         if any(s < 0 for s in self.measurement_noise_sigma):
             raise ValueError("noise sigma must be non-negative")
+        if self.linearization_sign not in (1.0, -1.0):
+            raise ValueError("linearization sign must be +1 or -1")
+        if self.lambert_direction not in ("prograde", "retrograde"):
+            raise ValueError("lambert direction must be 'prograde' or 'retrograde'")
 
     def initial_estimate(self) -> np.ndarray:
         if self.xhat0 is not None:

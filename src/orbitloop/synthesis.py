@@ -1,10 +1,11 @@
 """Controller and observer synthesis.
 
-LQR through the continuous algebraic Riccati equation (Newton-Kleinman
-iteration, each step a dense Lyapunov solve), Ackermann pole placement on
-block-decoupled channels, dual-placement observer gains, the separation-
-principle augmented loop in both coordinate systems, and a bisection
-gamma-iteration for the state-feedback H-infinity Riccati equation.
+LQR through the continuous algebraic Riccati equation, Ackermann pole
+placement on block-decoupled channels, dual-placement observer gains, the
+separation-principle augmented loop in both coordinate systems, and a
+bisection gamma-iteration for the state-feedback H-infinity Riccati
+equation.  Both Riccati equations are solved from the stable eigenvectors
+of their Hamiltonian matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import linalg
 from .errors import (
     DimensionError,
     GammaRangeError,
-    NoUniqueSolutionError,
     NumericalError,
     SynthesisError,
     UndefinedNormError,
@@ -259,51 +259,51 @@ def observer_gain(a, c, base_poles, speed_factor: float = 4.0) -> np.ndarray:
     return l
 
 
-def _seed_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stabilizing gain used to start the Newton-Kleinman iteration."""
-    if _is_hurwitz(a):
-        return np.zeros((b.shape[1], a.shape[0]))
-    try:
-        return place_poles(a, b, -np.ones(a.shape[0]))
-    except (SynthesisError, ValueError) as exc:
-        raise SynthesisError(
-            f"could not seed the Riccati iteration with a stabilizing gain: {exc}"
-        ) from exc
+def _stabilizing_riccati(a: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Stabilizing solution of A'P + PA - P S P + Q = 0.
 
-
-def solve_care(a, b, w: Weights) -> np.ndarray:
-    """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
-
-    Newton-Kleinman iteration seeded with a pole-placement gain; every step
-    solves one Lyapunov equation, so convergence is quadratic near the
-    solution.  The returned P is symmetric PSD with residual below
-    1e-8 * max(1, ||Q||).
+    The n stable eigenvectors [U1; U2] of the Hamiltonian [[A, -S], [-Q, -A']]
+    span the graph of P, so P = U2 U1^-1 (Potter 1966; Laub 1979).  Raises
+    SynthesisError when the Hamiltonian does not have exactly n stable
+    eigenvalues or U1 is singular.
     """
+    n = a.shape[0]
+    try:
+        lam, vecs = np.linalg.eig(np.block([[a, -s], [-q, -a.T]]))
+        stable = lam.real < 0
+        if np.count_nonzero(stable) != n:
+            raise SynthesisError("Hamiltonian has imaginary-axis eigenvalues")
+        u = vecs[:, stable]
+        p = np.linalg.solve(u[:n].T, u[n:].T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"no stabilizing Riccati solution: {exc}") from exc
+    if not np.isfinite(p).all():
+        raise SynthesisError("no stabilizing Riccati solution (non-finite P)")
+    return 0.5 * (p + p.T)
+
+
+def _plant_matrices(a, b, w: Weights) -> tuple[np.ndarray, np.ndarray]:
     am = linalg.as_matrix(a, "a")
     bm = linalg.as_matrix(b, "b")
     if am.shape[0] != am.shape[1] or bm.shape[0] != am.shape[0]:
         raise DimensionError("inconsistent (a, b) dimensions")
     if w.q.shape[0] != am.shape[0] or w.r.shape[0] != bm.shape[1]:
         raise DimensionError("weight dimensions do not match the plant")
-    k = _seed_gain(am, bm)
-    p_prev = None
-    for _ in range(50):
-        a_cl = am - bm @ k
-        try:
-            p = linalg.solve_lyapunov(a_cl, w.q + k.T @ w.r @ k)
-        except NoUniqueSolutionError as exc:
-            raise NumericalError(f"Riccati iteration lost stability: {exc}") from exc
-        k = np.linalg.solve(w.r, bm.T @ p)
-        if p_prev is not None and np.linalg.norm(p - p_prev) <= 1e-12 * max(
-            1.0, np.linalg.norm(p)
-        ):
-            p_prev = p
-            break
-        p_prev = p
-    p = p_prev
+    return am, bm
+
+
+def solve_care(a, b, w: Weights) -> np.ndarray:
+    """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
+
+    The returned P is symmetric PSD with residual below 1e-8 * max(1, ||Q||).
+    Raises SynthesisError when the Hamiltonian yields no stabilizing
+    solution and NumericalError when the residual bound is not met.
+    """
+    am, bm = _plant_matrices(a, b, w)
+    p = _stabilizing_riccati(am, bm @ np.linalg.solve(w.r, bm.T), w.q)
     residual = am.T @ p + p @ am - p @ bm @ np.linalg.solve(w.r, bm.T @ p) + w.q
     if np.linalg.norm(residual) > 1e-8 * max(1.0, np.linalg.norm(w.q)):
-        raise NumericalError("Riccati iteration did not meet the residual bound")
+        raise NumericalError("Riccati solution did not meet the residual bound")
     return p
 
 
@@ -349,32 +349,16 @@ def solve_hinf_riccati(a, b, g, w: Weights, gamma: float) -> np.ndarray:
     for a fixed attenuation level gamma.  Raises SynthesisError when no
     stabilizing PSD solution exists at this gamma.
     """
-    am = linalg.as_matrix(a, "a")
-    bm = linalg.as_matrix(b, "b")
+    am, bm = _plant_matrices(a, b, w)
     gm = linalg.as_matrix(g, "g")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     m = bm @ np.linalg.solve(w.r, bm.T) - (gm @ gm.T) / gamma**2
-    p = solve_care(am, bm, w)  # gamma -> inf solution as the Newton seed
-    scale = max(1.0, np.linalg.norm(w.q))
-    for _ in range(50):
-        a_k = am - m @ p
-        if not _is_hurwitz(a_k):
-            raise SynthesisError(f"gamma={gamma} is infeasible (iteration left the stabilizing branch)")
-        try:
-            p_next = linalg.solve_lyapunov(a_k, w.q + p @ m @ p)
-        except NoUniqueSolutionError as exc:
-            raise SynthesisError(f"gamma={gamma} is infeasible: {exc}") from exc
-        gap = np.linalg.norm(p_next - p)
-        p = p_next
-        if not np.isfinite(p).all():
-            raise SynthesisError(f"gamma={gamma} is infeasible (divergent iteration)")
-        if gap <= 1e-12 * max(1.0, np.linalg.norm(p)):
-            break
-    else:
-        raise SynthesisError(f"gamma={gamma}: no convergence within 50 Newton steps")
+    p = _stabilizing_riccati(am, m, w.q)
+    if not _is_hurwitz(am - m @ p):
+        raise SynthesisError(f"gamma={gamma} is infeasible (A - M P not Hurwitz)")
     residual = am.T @ p + p @ am - p @ m @ p + w.q
-    if np.linalg.norm(residual) > 1e-7 * scale:
+    if np.linalg.norm(residual) > 1e-7 * max(1.0, np.linalg.norm(w.q)):
         raise SynthesisError(f"gamma={gamma} is infeasible (residual not met)")
     if np.linalg.eigvalsh(p).min() < -1e-9 * max(1.0, np.linalg.norm(p)):
         raise SynthesisError(f"gamma={gamma} is infeasible (indefinite solution)")

@@ -131,6 +131,19 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     assert diagnostic["error"] == "SynthesisError"
 
 
+@pytest.mark.parametrize("command, override", [
+    ("analyze", "linearization_sign=2"),
+    ("lambert", 'lambert_direction="sideways"'),
+])
+def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
+                                               override):
+    path = _write(tmp_path, {})
+    code = cli.dispatch(command, path, tmp_path / "out", "csv", [override])
+    assert code == 2
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ScenarioError"
+
+
 def test_dispatch_simulate_writes_series_and_metrics(tmp_path):
     path = _write(tmp_path, {"horizon_s": 5.0, "output_dt_s": 0.5})
     out = tmp_path / "out"
@@ -247,6 +260,17 @@ def test_response_command(tmp_path):
     assert freq[0].startswith("omega_rad_s,re_00,im_00")
     assert (out / "frequency_observer_lqr.csv").exists()
     assert (out / "step_response.csv").exists()
+
+
+def test_settling_skips_roundoff_channel():
+    # A cross-axis channel that is exactly zero up to roundoff must not set
+    # the settling time from its own noise-sized scale.
+    t = np.linspace(0.0, 15.0, 1501)
+    y = np.stack([1.0 - np.exp(-t), 1e-16 * np.sin(37.0 * t)], axis=1)
+    y = y[:, None, :]
+    alone = cli._settling_from_step(t, y[:, :, :1], 0.02)
+    assert alone is not None
+    assert cli._settling_from_step(t, y, 0.02) == alone
 
 
 def test_lambert_command(tmp_path):

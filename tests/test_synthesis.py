@@ -37,8 +37,8 @@ def test_care_plant_residual(plant, identity_weights):
 
 
 def test_care_agrees_with_schur_solver(plant, identity_weights):
-    # Third route: the Newton-Kleinman solution matches scipy's
-    # Hamiltonian/Schur solver on the same plant.
+    # Independent route: the Hamiltonian-eigenvector solution matches
+    # scipy's Schur-based solver on the same plant.
     import scipy.linalg
     p = ol.solve_care(plant.a, plant.b, identity_weights)
     p_ref = scipy.linalg.solve_continuous_are(
