@@ -7,7 +7,7 @@ two-body motion under solar radiation pressure.
 
 __version__ = "0.1.0"
 
-from ._dopri import USING_NUMBA
+from ._dopri import BACKEND_REASON, USING_NUMBA
 from .dynamics import (
     EARTH_RADIUS_KM,
     OrbitState,

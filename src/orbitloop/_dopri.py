@@ -1,9 +1,14 @@
 """Adaptive Dormand-Prince 4(5) propagation kernel (the hot loop).
 
-One compiled function advances the 12-state closed-loop system — true plant,
+One function advances the 12-state closed-loop system — true plant,
 observer estimation error, and reference arc — between output grid points,
 honoring rtol/atol and landing exactly on every grid time (so piecewise-
 constant measurement noise never straddles a sample interval).
+
+The kernel is written once, indexing its 2-D inputs as x[i][j], and
+`propagate_grid` picks its containers: ndarrays on the numba path, plain
+Python floats and lists on the Python path.  Either way the kernel fills
+preallocated ndarray outputs and allocates nothing itself.
 
 The backend is chosen once, at import, by three cases:
 
@@ -14,9 +19,10 @@ The backend is chosen once, at import, by three cases:
   this is a supported configuration, not an error;
 - the flag is unset and numba imports: the kernel is compiled with @njit.
 
-USING_NUMBA records the outcome.  Both backends run the identical source
-and must give bit-identical outputs; perfbench/backends.py checks that on
-machines that have numba.
+USING_NUMBA records the outcome, and BACKEND_REASON the case that chose it:
+"ORBITLOOP_NO_NUMBA set", "numba missing" or "numba available".  Both
+backends run the identical source and must give bit-identical outputs;
+perfbench/backends.py checks that on machines that have numba.
 
 State layout: z = [x (true, 4) | e = x - xhat (4) | reference (4)].
 The observer is integrated in (x, e) coordinates, which makes the error
@@ -25,6 +31,7 @@ block's arithmetic independent of the applied control for a linear plant.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -33,13 +40,16 @@ _flag = os.environ.get("ORBITLOOP_NO_NUMBA", "").strip().lower()
 _DISABLED = _flag not in ("", "0", "false", "no")
 
 USING_NUMBA = False
-if not _DISABLED:
+if _DISABLED:
+    BACKEND_REASON = "ORBITLOOP_NO_NUMBA set"
+else:
     try:
         from numba import njit
 
         USING_NUMBA = True
+        BACKEND_REASON = "numba available"
     except ImportError:  # numba is optional: fall back to the Python kernel
-        pass
+        BACKEND_REASON = "numba missing"
 
 if USING_NUMBA:
     def _jit(f):
@@ -66,13 +76,13 @@ def _control_impl(z, k, method, ux_uy):
     if method == 1:
         for i in range(4):
             dev = z[i] - z[8 + i]
-            ux -= k[0, i] * dev
-            uy -= k[1, i] * dev
+            ux -= k[0][i] * dev
+            uy -= k[1][i] * dev
     elif method == 3:
         for i in range(4):
             dev = z[i] - z[4 + i] - z[8 + i]
-            ux -= k[0, i] * dev
-            uy -= k[1, i] * dev
+            ux -= k[0][i] * dev
+            uy -= k[1][i] * dev
     ux_uy[0] = ux
     ux_uy[1] = uy
 
@@ -107,8 +117,8 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
         for i in range(4):
             acc = 0.0
             for j in range(4):
-                acc += am[i, j] * z[j]
-            dz[i] = acc + b[i, 0] * ux + b[i, 1] * uy + g[i, 0] * ax + g[i, 1] * ay
+                acc += am[i][j] * z[j]
+            dz[i] = acc + b[i][0] * ux + b[i][1] * uy + g[i][0] * ax + g[i][1] * ay
     else:
         p = z[0]
         q = z[1]
@@ -116,10 +126,10 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
         if r < 1.0:
             return STATUS_SINGULAR_RADIUS
         r3 = r * r * r
-        dz[0] = z[2] + g[0, 0] * ax + g[0, 1] * ay
-        dz[1] = z[3] + g[1, 0] * ax + g[1, 1] * ay
-        dz[2] = -mu * p / r3 + g[2, 0] * ax + g[2, 1] * ay + ux
-        dz[3] = -mu * q / r3 + g[3, 0] * ax + g[3, 1] * ay + uy
+        dz[0] = z[2] + g[0][0] * ax + g[0][1] * ay
+        dz[1] = z[3] + g[1][0] * ax + g[1][1] * ay
+        dz[2] = -mu * p / r3 + g[2][0] * ax + g[2][1] * ay + ux
+        dz[3] = -mu * q / r3 + g[3][0] * ax + g[3][1] * ay + uy
 
     # Estimation-error block:  de = (Am - L C) e + (f(x) - Am x - B u) - L nu,
     # with f(x) the full forced true dynamics already stored in dz[0:4].  On
@@ -130,22 +140,22 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
         ce0 = 0.0
         ce1 = 0.0
         for j in range(4):
-            ce0 += cm[0, j] * z[4 + j]
-            ce1 += cm[1, j] * z[4 + j]
+            ce0 += cm[0][j] * z[4 + j]
+            ce1 += cm[1][j] * z[4 + j]
         ce0 += nx
         ce1 += ny
         for i in range(4):
             ame = 0.0
             for j in range(4):
-                ame += am[i, j] * z[4 + j]
+                ame += am[i][j] * z[4 + j]
             if plant_linear == 1:
-                mism = g[i, 0] * ax + g[i, 1] * ay
+                mism = g[i][0] * ax + g[i][1] * ay
             else:
                 amx = 0.0
                 for j in range(4):
-                    amx += am[i, j] * z[j]
-                mism = dz[i] - amx - (b[i, 0] * ux + b[i, 1] * uy)
-            dz[4 + i] = ame - (l[i, 0] * ce0 + l[i, 1] * ce1) + mism
+                    amx += am[i][j] * z[j]
+                mism = dz[i] - amx - (b[i][0] * ux + b[i][1] * uy)
+            dz[4 + i] = ame - (l[i][0] * ce0 + l[i][1] * ce1) + mism
     else:
         for i in range(4):
             dz[4 + i] = 0.0
@@ -153,7 +163,8 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
 
 
 def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-                    am, b, cm, g, k, l, noise, rtol, atol, max_steps):
+                    am, b, cm, g, k, l, noise, rtol, atol, max_steps,
+                    work, out_state, out_ctrl):
     # Dormand-Prince 5(4) tableau.
     a21 = 1.0 / 5.0
     a31 = 3.0 / 40.0
@@ -182,20 +193,19 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
     e6 = 22.0 / 525.0
     e7 = -1.0 / 40.0
 
-    n_out = t_out.shape[0]
-    out_state = np.empty((n_out, 12))
-    out_ctrl = np.empty((n_out, 2))
-    z = z0.copy()
-    znew = np.empty(12)
-    ytmp = np.empty(12)
-    k1 = np.empty(12)
-    k2 = np.empty(12)
-    k3 = np.empty(12)
-    k4 = np.empty(12)
-    k5 = np.empty(12)
-    k6 = np.empty(12)
-    k7 = np.empty(12)
-    uu = np.empty(2)
+    z = work[0]
+    znew = work[1]
+    ytmp = work[2]
+    k1 = work[3]
+    k2 = work[4]
+    k3 = work[5]
+    k4 = work[6]
+    k5 = work[7]
+    k6 = work[8]
+    k7 = work[9]
+    uu = work[10]  # the control pair, in its first two slots
+    for i in range(12):
+        z[i] = z0[i]
 
     for i in range(12):
         out_state[0, i] = z[i]
@@ -205,22 +215,22 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
 
     h = -1.0
     steps = 0
-    for seg in range(n_out - 1):
+    for seg in range(len(t_out) - 1):
         t = t_out[seg]
         t_end = t_out[seg + 1]
         seg_len = t_end - t
-        nx = noise[seg, 0]
-        ny = noise[seg, 1]
+        nx = noise[seg][0]
+        ny = noise[seg][1]
         if h <= 0.0:
             h = min(seg_len, 1.0)
         st = _rhs_impl(z, k1, mu, ax, ay, method, plant_linear, ref_moving,
                        am, b, cm, g, k, l, nx, ny, uu)
         if st != STATUS_OK:
-            return out_state, out_ctrl, st
+            return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
             steps += 1
             if steps > max_steps:
-                return out_state, out_ctrl, STATUS_STEP_BUDGET
+                return STATUS_STEP_BUDGET
             remaining = t_end - t
             clamped = h >= remaining
             hs = remaining if clamped else h
@@ -263,7 +273,7 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
                 # step, declaring the singularity only once h underflows.
                 h = 0.5 * hs
                 if h < 1e-12 * max(1.0, abs(t)):
-                    return out_state, out_ctrl, st
+                    return st
                 continue
 
             err_norm2 = 0.0
@@ -281,10 +291,10 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
             if norm <= 1.0:
                 ok = True
                 for i in range(12):
-                    if not np.isfinite(znew[i]):
+                    if not math.isfinite(znew[i]):
                         ok = False
                 if not ok:
-                    return out_state, out_ctrl, STATUS_NOT_FINITE
+                    return STATUS_NOT_FINITE
                 t = t_end if clamped else t + hs
                 for i in range(12):
                     z[i] = znew[i]
@@ -309,7 +319,7 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
                     factor = 0.2
                 h = hs * factor
                 if h < 1e-12 * max(1.0, abs(t)):
-                    return out_state, out_ctrl, STATUS_STEP_UNDERFLOW
+                    return STATUS_STEP_UNDERFLOW
 
         for i in range(12):
             out_state[seg + 1, i] = z[i]
@@ -317,11 +327,35 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
         out_ctrl[seg + 1, 0] = uu[0]
         out_ctrl[seg + 1, 1] = uu[1]
 
-    return out_state, out_ctrl, STATUS_OK
+    return STATUS_OK
 
 
 # Rebind in dependency order so the outer kernels resolve the jitted inner
 # functions when numba compiles them on first call.
 _control_impl = _jit(_control_impl)
 _rhs_impl = _jit(_rhs_impl)
-propagate_grid = _jit(_propagate_impl)
+_propagate_impl = _jit(_propagate_impl)
+
+
+def propagate_grid(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
+                   am, b, cm, g, k, l, noise, rtol, atol, max_steps):
+    """Propagate z0 across the output grid t_out; returns the (n, 12)
+    state and (n, 2) control series and a STATUS_* code.
+
+    The compiled kernel takes the ndarray inputs as they are.  The Python
+    kernel takes them as nested lists: an element of a list is a plain
+    float, while an element of an ndarray reads back as a numpy scalar,
+    whose arithmetic is several times slower."""
+    n_out = t_out.shape[0]
+    out_state = np.empty((n_out, 12))
+    out_ctrl = np.empty((n_out, 2))
+    work = np.zeros((11, 12))
+    arrays = (z0, t_out, am, b, cm, g, k, l, noise)
+    if not USING_NUMBA:
+        arrays = [a.tolist() for a in arrays]
+        work = work.tolist()
+    z0, t_out, am, b, cm, g, k, l, noise = arrays
+    status = _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear,
+                             ref_moving, am, b, cm, g, k, l, noise, rtol, atol,
+                             max_steps, work, out_state, out_ctrl)
+    return out_state, out_ctrl, status

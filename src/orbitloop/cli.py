@@ -41,6 +41,7 @@ from .ltisys import (
     step_response,
 )
 from .simulate import (
+    MAX_GRID_STEPS,
     Method,
     PlantMode,
     ReferenceMode,
@@ -50,6 +51,7 @@ from .simulate import (
     REFERENCE_NATURAL_FREQ_SQ,
     REFERENCE_SRP_PRESSURE_PA,
     Scenario,
+    check_grid,
     compare_methods,
     compute_metrics,
     propagate_two_body,
@@ -79,6 +81,9 @@ class DriftSettings:
     srp_magnitude_km_s2: float | None = None  # None: pressure-equivalent default
     theta0_rad: float = 0.0
 
+    def __post_init__(self):
+        check_grid(self.duration_s, self.output_dt_s, "drift")
+
 
 @dataclass
 class ResponseSettings:
@@ -88,9 +93,17 @@ class ResponseSettings:
     freq_lo_rad_s: float = 1.0e-5
     freq_hi_rad_s: float = 1.0e1
 
+    def __post_init__(self):
+        check_grid(self.step_horizon_s, self.step_dt_s, "response step")
+        if not 1 <= self.freq_points <= MAX_GRID_STEPS:
+            raise ValueError(f"freq_points must lie in [1, {MAX_GRID_STEPS}]")
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+_CELL = "{:.17g}"  # _fmt's format, as a str.format field for whole rows
 
 
 def _expect(tree: dict, allowed: dict, context: str):
@@ -229,31 +242,30 @@ def build_scenario(tree: dict) -> tuple[Scenario, DriftSettings, ResponseSetting
             settle_band=float(tree.get("settle_band", 0.02)),
             constants=constants,
         )
+        drift_tree = tree.get("drift", {})
+        _expect(drift_tree, _DRIFT_KEYS, "drift.")
+        drift = DriftSettings(
+            duration_s=float(drift_tree.get("duration_s", 86400.0)),
+            output_dt_s=float(drift_tree.get("output_dt_s", 60.0)),
+            srp_magnitude_km_s2=(
+                float(drift_tree["srp_magnitude_km_s2"])
+                if drift_tree.get("srp_magnitude_km_s2") is not None else None
+            ),
+            theta0_rad=float(drift_tree.get("theta0_rad", 0.0)),
+        )
+        response_tree = tree.get("response", {})
+        _expect(response_tree, _RESPONSE_KEYS, "response.")
+        response = ResponseSettings(
+            step_horizon_s=float(response_tree.get("step_horizon_s", 15.0)),
+            step_dt_s=float(response_tree.get("step_dt_s", 0.01)),
+            freq_points=int(response_tree.get("freq_points", 400)),
+            freq_lo_rad_s=float(response_tree.get("freq_lo_rad_s", 1.0e-5)),
+            freq_hi_rad_s=float(response_tree.get("freq_hi_rad_s", 1.0e1)),
+        )
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
-
-    drift_tree = tree.get("drift", {})
-    _expect(drift_tree, _DRIFT_KEYS, "drift.")
-    drift = DriftSettings(
-        duration_s=float(drift_tree.get("duration_s", 86400.0)),
-        output_dt_s=float(drift_tree.get("output_dt_s", 60.0)),
-        srp_magnitude_km_s2=(
-            float(drift_tree["srp_magnitude_km_s2"])
-            if drift_tree.get("srp_magnitude_km_s2") is not None else None
-        ),
-        theta0_rad=float(drift_tree.get("theta0_rad", 0.0)),
-    )
-    response_tree = tree.get("response", {})
-    _expect(response_tree, _RESPONSE_KEYS, "response.")
-    response = ResponseSettings(
-        step_horizon_s=float(response_tree.get("step_horizon_s", 15.0)),
-        step_dt_s=float(response_tree.get("step_dt_s", 0.01)),
-        freq_points=int(response_tree.get("freq_points", 400)),
-        freq_lo_rad_s=float(response_tree.get("freq_lo_rad_s", 1.0e-5)),
-        freq_hi_rad_s=float(response_tree.get("freq_hi_rad_s", 1.0e1)),
-    )
     return scenario, drift, response
 
 
@@ -328,23 +340,20 @@ def write_series(record, path, fmt: str = "csv"):
         raise ValueError("refusing to write an empty series")
     est = record.estimates
     if fmt == "csv":
-        lines = [",".join(SERIES_COLUMNS)]
-        for i in range(t.size):
-            row = [
-                _fmt(t[i]),
-                _fmt(record.true_states[i, 0]), _fmt(record.true_states[i, 1]),
-                _fmt(record.true_states[i, 2]), _fmt(record.true_states[i, 3]),
-            ]
-            if est is not None:
-                row += [_fmt(est[i, j]) for j in range(4)]
-            else:
-                row += ["", "", "", ""]
-            row += [
-                _fmt(record.controls[i, 0]), _fmt(record.controls[i, 1]),
-                _fmt(record.reference[i, 0]), _fmt(record.reference[i, 1]),
-            ]
-            lines.append(",".join(row))
-        path.write_text("\n".join(lines) + "\n")
+        columns = [t[:, None], record.true_states[:, 0:4]]
+        if est is not None:
+            columns.append(est[:, 0:4])
+        columns += [record.controls[:, 0:2], record.reference[:, 0:2]]
+        est_cells = [_CELL] * 4 if est is not None else [""] * 4
+        row_format = ",".join([_CELL] * 5 + est_cells + [_CELL] * 4) + "\n"
+        # Plain floats format faster than numpy scalars.  Converting and
+        # writing block by block keeps only one block's rows in memory.
+        with path.open("w") as fh:
+            fh.write(",".join(SERIES_COLUMNS) + "\n")
+            for start in range(0, t.size, 1024):
+                block = np.hstack([c[start:start + 1024] for c in columns])
+                fh.write("".join(row_format.format(*row)
+                                 for row in block.tolist()))
     elif fmt == "json":
         payload = {
             "t": record.times.tolist(),

@@ -53,6 +53,8 @@ __all__ = [
     "srp_drift_study",
     "propagate_two_body",
     "synthesize_for_scenario",
+    "check_grid",
+    "MAX_GRID_STEPS",
     "REFERENCE_METRICS",
     "REFERENCE_EIGENVALUES",
     "REFERENCE_GAINS",
@@ -116,6 +118,22 @@ REFERENCE_NATURAL_FREQ_SQ = 0.004865  # quoted transfer-function constant, unrep
 REFERENCE_SRP_PRESSURE_PA = 9.0769e-6
 
 
+# Most steps any sampling grid may hold: 25x the default 4000 s / 0.1 s
+# output grid.  A finer grid is almost surely a mistyped step, and its
+# arrays alone would take gigabytes.
+MAX_GRID_STEPS = 1_000_000
+
+
+def check_grid(span: float, step: float, name: str):
+    """Raise ValueError unless span and step are positive and a grid of
+    span/step steps stays within MAX_GRID_STEPS."""
+    if not (span > 0 and step > 0):
+        raise ValueError(f"{name} span and step must be positive")
+    if span / step > MAX_GRID_STEPS:
+        raise ValueError(f"{name} grid of {span / step:.3g} steps exceeds "
+                         f"the limit of {MAX_GRID_STEPS}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full description of one closed-loop maneuver simulation."""
@@ -149,6 +167,7 @@ class Scenario:
             raise ValueError("horizon must be positive")
         if not 0 < self.output_dt <= self.horizon:
             raise ValueError("output_dt must lie in (0, horizon]")
+        check_grid(self.horizon, self.output_dt, "output")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
         if self.observer_speed_factor <= 0:

@@ -134,6 +134,12 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("command, override", [
     ("analyze", "linearization_sign=2"),
     ("lambert", 'lambert_direction="sideways"'),
+    # Grids past MAX_GRID_STEPS are refused while parsing, before any
+    # array is allocated.
+    ("simulate", "output_dt_s=1e-9"),
+    ("drift", "drift.output_dt_s=1e-6"),
+    ("response", "response.step_dt_s=1e-9"),
+    ("response", "response.freq_points=1000001"),
 ])
 def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
                                                override):
@@ -190,6 +196,34 @@ def test_write_series_json_mirrors_names(tmp_path):
     assert list(payload) == cli.SERIES_COLUMNS
     assert payload["t"] == record.times.tolist()
     assert payload["x_p"] == record.true_states[:, 0].tolist()
+
+
+def test_write_series_blocks_match_cell_format(tmp_path):
+    # More rows than one formatting block, with and without estimates:
+    # every cell reads as the value's own .17g text.
+    rng = np.random.default_rng(7)
+    n = 2500
+    for estimates in (rng.normal(size=(n, 4)) * 1e4, None):
+        rec = ol.SimulationRecord(
+            method=ol.Method.LQR,
+            times=np.linspace(0.0, 250.0, n),
+            true_states=rng.normal(size=(n, 4)) * 1e4,
+            controls=rng.normal(size=(n, 2)) * 1e-6,
+            reference=rng.normal(size=(n, 4)),
+            estimates=estimates,
+        )
+        path = tmp_path / "series.csv"
+        cli.write_series(rec, path, "csv")
+        lines = path.read_text().splitlines()
+        assert len(lines) == n + 1
+        for i in (0, 1023, 1024, 2047, 2048, n - 1):
+            cells = [f"{v:.17g}" for v in
+                     (rec.times[i], *rec.true_states[i])]
+            cells += ([f"{v:.17g}" for v in estimates[i]]
+                      if estimates is not None else [""] * 4)
+            cells += [f"{v:.17g}" for v in
+                      (*rec.controls[i], *rec.reference[i, 0:2])]
+            assert lines[i + 1] == ",".join(cells)
 
 
 def test_single_sample_record_two_line_csv(tmp_path):

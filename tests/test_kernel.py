@@ -1,12 +1,15 @@
-"""Compiled-path checks: the numba kernel and the pure-numpy fallback run the
-same source and must agree; the env flag, or numba being absent, selects the
-fallback."""
+"""Compiled-path checks: the numba kernel and the pure-Python fallback run the
+same source and must agree, on ndarray and on list containers alike; the env
+flag, or numba being absent, selects the fallback."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 import orbitloop as ol
 from orbitloop import _dopri
@@ -23,12 +26,13 @@ def test_backend_selection_matches_environment():
 
 def test_env_flag_selects_numpy_fallback(tmp_path):
     code = ("import orbitloop\n"
-            "print(orbitloop.USING_NUMBA)\n")
+            "print(orbitloop.USING_NUMBA)\n"
+            "print(orbitloop.BACKEND_REASON)\n")
     env = dict(os.environ, ORBITLOOP_NO_NUMBA="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "ORBITLOOP_NO_NUMBA set"]
 
 
 def test_missing_numba_selects_python_kernel(tmp_path):
@@ -41,6 +45,7 @@ def test_missing_numba_selects_python_kernel(tmp_path):
             "import orbitloop\n"
             "from orbitloop.cli import main\n"
             "print(orbitloop.USING_NUMBA)\n"
+            "print(orbitloop.BACKEND_REASON)\n"
             "sys.exit(main(['simulate', '--scenario', sys.argv[1],\n"
             "               '--out', sys.argv[2]]))\n")
     env = dict(os.environ)
@@ -50,7 +55,7 @@ def test_missing_numba_selects_python_kernel(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[:2] == ["False", "numba missing"]
     assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 0
 
 
@@ -106,3 +111,68 @@ def test_kernel_status_singular_radius():
         assert "1 km" in str(exc)
     else:  # pragma: no cover - the guard must trip
         raise AssertionError("expected a singularity failure")
+
+
+def _kernel_calls(monkeypatch, scenario):
+    """Arguments of every propagate_grid call that running the scenario
+    makes; a run that fails in the kernel still records its call."""
+    calls = []
+    wrapper = _dopri.propagate_grid
+
+    def record(*args):
+        calls.append(args)
+        return wrapper(*args)
+
+    monkeypatch.setattr(_dopri, "propagate_grid", record)
+    try:
+        ol.run_scenario(scenario)
+    except ol.NumericalError:
+        pass
+    monkeypatch.setattr(_dopri, "propagate_grid", wrapper)
+    return calls
+
+
+def _run_kernel_source(args, lists):
+    """The kernel's Python source on ndarray containers (what numba gets)
+    or on list containers (what the Python path gets)."""
+    (z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
+     am, b, cm, g, k, l, noise, rtol, atol, max_steps) = args
+    arrays = [z0, t_out, am, b, cm, g, k, l, noise]
+    work = np.zeros((11, 12))
+    if lists:
+        arrays = [a.tolist() for a in arrays]
+        work = work.tolist()
+    z0, t_out, am, b, cm, g, k, l, noise = arrays
+    out_state = np.zeros((len(t_out), 12))
+    out_ctrl = np.zeros((len(t_out), 2))
+    status = _dopri._propagate_impl(
+        z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
+        am, b, cm, g, k, l, noise, rtol, atol, max_steps,
+        work, out_state, out_ctrl)
+    return out_state, out_ctrl, status
+
+
+@pytest.mark.parametrize("scenario, expected", [
+    (ol.Scenario(horizon=50.0, output_dt=0.5, method=ol.Method.LQR),
+     _dopri.STATUS_OK),
+    (ol.Scenario(horizon=50.0, output_dt=0.5,
+                 method=ol.Method.OBSERVER_LQR,
+                 measurement_noise_sigma=(0.001, 0.001)),
+     _dopri.STATUS_OK),
+    # The plunge of test_kernel_status_singular_radius.
+    (ol.Scenario(x0=ol.OrbitState((7000.0, 0.0), (-9.0, 0.0)),
+                 horizon=2000.0, output_dt=1.0,
+                 method=ol.Method.UNCONTROLLED),
+     _dopri.STATUS_SINGULAR_RADIUS),
+], ids=["lqr", "observer_lqr_noisy", "singular_radius"])
+def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
+    (args,) = _kernel_calls(monkeypatch, scenario)
+    # Where numba is installed, run its Python source all the way down.
+    for name in ("_control_impl", "_rhs_impl", "_propagate_impl"):
+        fn = getattr(_dopri, name)
+        monkeypatch.setattr(_dopri, name, getattr(fn, "py_func", fn))
+    state_a, ctrl_a, status_a = _run_kernel_source(args, lists=False)
+    state_l, ctrl_l, status_l = _run_kernel_source(args, lists=True)
+    assert status_a == status_l == expected
+    assert np.array_equal(state_a, state_l)
+    assert np.array_equal(ctrl_a, ctrl_l)

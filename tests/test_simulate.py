@@ -42,6 +42,18 @@ def test_scenario_validation():
         ol.Scenario(settle_band=1.5)
 
 
+def test_scenario_grid_bound():
+    # The bound is checked on horizon / output_dt alone, so these
+    # constructions allocate no grid.
+    ol.Scenario(horizon=1.0e6, output_dt=1.0)
+    with pytest.raises(ValueError, match="exceeds"):
+        ol.Scenario(horizon=1.0e6, output_dt=0.999)
+    with pytest.raises(ValueError, match="exceeds"):
+        ol.Scenario(output_dt=1e-9)
+    with pytest.raises(ValueError, match="exceeds"):
+        ol.Scenario(horizon=math.inf)
+
+
 def test_output_grid_covers_horizon():
     s = ol.Scenario(horizon=100.0, output_dt=0.3)
     grid = s.output_grid()
