@@ -272,7 +272,7 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
                 # A stage left the admissible region: retry with a smaller
                 # step, declaring the singularity only once h underflows.
                 h = 0.5 * hs
-                if h < 1e-12 * max(1.0, abs(t)):
+                if not h >= 1e-12 * max(1.0, abs(t)):
                     return st
                 continue
 
@@ -318,7 +318,9 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
                 if factor < 0.2:
                     factor = 0.2
                 h = hs * factor
-                if h < 1e-12 * max(1.0, abs(t)):
+                # Written so that a NaN step (from a NaN error norm) fails
+                # here too, instead of retrying until the step budget.
+                if not h >= 1e-12 * max(1.0, abs(t)):
                     return STATUS_STEP_UNDERFLOW
 
         for i in range(12):

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,9 @@ from .dynamics import (
 from .errors import GammaRangeError, ScenarioError, SynthesisError
 from .linalg import eigenvalues, rank
 from .ltisys import (
+    MAX_GRID_STEPS,
     StateSpace,
+    check_grid,
     controllability_matrix,
     default_frequency_grid,
     frequency_response,
@@ -41,7 +43,6 @@ from .ltisys import (
     step_response,
 )
 from .simulate import (
-    MAX_GRID_STEPS,
     Method,
     PlantMode,
     ReferenceMode,
@@ -51,7 +52,6 @@ from .simulate import (
     REFERENCE_NATURAL_FREQ_SQ,
     REFERENCE_SRP_PRESSURE_PA,
     Scenario,
-    check_grid,
     compare_methods,
     compute_metrics,
     propagate_two_body,
@@ -106,167 +106,191 @@ def _fmt(value: float) -> str:
 _CELL = "{:.17g}"  # _fmt's format, as a str.format field for whole rows
 
 
-def _expect(tree: dict, allowed: dict, context: str):
-    for key in tree:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key {context + key!r}")
+# Parsers of scenario values: each takes the JSON value and its dotted key
+# name and returns the value of the dataclass field, or raises.
 
-
-def _vec4(value, name):
+def _finite(value, name):
     try:
-        v = [float(x) for x in value]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a list of 4 numbers") from exc
-    if len(v) != 4:
-        raise ScenarioError(f"{name} must have exactly 4 entries")
-    return v
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ScenarioError(f"{name} must be a finite number")
+    return number
 
 
-def _sigma_pair(value):
-    try:
-        pair = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("measurement_noise_sigma must be two numbers") from exc
-    if len(pair) != 2:
-        raise ScenarioError("measurement_noise_sigma must have exactly 2 entries")
-    return pair
+def _count(value, name):
+    """A non-negative whole number, given as 400 or 400.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"{name} must be a non-negative whole number")
+    return value
 
 
-def _matrix_from(value, name, shape):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and shape[0] == shape[1] and arr.size == shape[0]:
-        arr = np.diag(arr)  # diagonal shorthand
-    if arr.shape != shape:
-        raise ScenarioError(f"{name} must have shape {shape[0]}x{shape[1]}")
-    return arr
+def _text(value, name):
+    if not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string")
+    return value
 
 
-_TOP_KEYS = {
-    "x0", "xf", "horizon_s", "output_dt_s", "rtol", "atol", "srp",
-    "spacecraft", "weights", "observer_speed_factor", "method",
-    "reference_mode", "xhat0", "measurement_noise_sigma", "noise_seed",
-    "disturbance_matrix", "measurement_matrix", "plant_mode",
-    "linearization_sign", "lambert_direction", "settle_band",
-    "mu_km3_s2", "c_light_km_s", "drift", "response",
+def _numbers(n):
+    def parse(value, name):
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ScenarioError(f"{name} must be a list of exactly {n} numbers")
+        return tuple(_finite(v, name) for v in value)
+    return parse
+
+
+def _state(value, name):
+    v = _numbers(4)(value, name)
+    return OrbitState(v[:2], v[2:])
+
+
+def _matrix(rows, cols):
+    """A rows x cols matrix; a square one may be given by its diagonal."""
+    def parse(value, name):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = np.empty(0)
+        if arr.ndim == 1 and rows == cols and arr.size == rows:
+            arr = np.diag(arr)
+        if arr.shape != (rows, cols) or not np.isfinite(arr).all():
+            raise ScenarioError(f"{name} must be a finite {rows}x{cols} matrix")
+        return arr
+    return parse
+
+
+def _choice(enum_cls):
+    def parse(value, name):
+        try:
+            return enum_cls(value)
+        except (TypeError, ValueError):
+            options = ", ".join(e.value for e in enum_cls)
+            raise ScenarioError(f"{name} must be one of: {options}") from None
+    return parse
+
+
+def _optional(parse):
+    """`parse`, or None for a JSON null."""
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+@dataclass(frozen=True)
+class _Sections:
+    """The settings nested under the scenario root's drift and response keys."""
+
+    drift: DriftSettings = field(default_factory=DriftSettings)
+    response: ResponseSettings = field(default_factory=ResponseSettings)
+
+
+# The scenario schema: per dataclass, each JSON key maps to the field it
+# sets and the parser of its value.  A parser that is itself a dataclass in
+# this table reads a nested object.  The scenario root holds the keys of
+# Scenario, PhysicalConstants (Scenario.constants) and _Sections side by
+# side.  Defaults live in the dataclasses alone.
+_SCHEMA = {
+    SrpConfig: {
+        "mode": ("mode", _text),
+        "magnitude_km_s2": ("magnitude_km_s2", _finite),
+        "irradiance_w_m2": ("irradiance_w_m2", _finite),
+        "theta0_rad": ("theta0", _finite),
+    },
+    SpacecraftParams: {
+        "mass_kg": ("mass", _finite),
+        "area_m2": ("area", _finite),
+        "reflectivity": ("reflectivity_multiplier", _finite),
+    },
+    Weights: {"q": ("q", _matrix(4, 4)), "r": ("r", _matrix(2, 2))},
+    PhysicalConstants: {
+        "mu_km3_s2": ("mu", _finite),
+        "c_light_km_s": ("c_light", _finite),
+    },
+    Scenario: {
+        "x0": ("x0", _state),
+        "xf": ("xf", _state),
+        "horizon_s": ("horizon", _finite),
+        "output_dt_s": ("output_dt", _finite),
+        "rtol": ("rtol", _finite),
+        "atol": ("atol", _finite),
+        "srp": ("srp", SrpConfig),
+        "spacecraft": ("spacecraft", SpacecraftParams),
+        "weights": ("weights", Weights),
+        "observer_speed_factor": ("observer_speed_factor", _finite),
+        "method": ("method", _choice(Method)),
+        "reference_mode": ("reference_mode", _choice(ReferenceMode)),
+        "xhat0": ("xhat0", _optional(_numbers(4))),
+        "measurement_noise_sigma": ("measurement_noise_sigma", _numbers(2)),
+        "noise_seed": ("noise_seed", _count),
+        "disturbance_matrix": ("disturbance_matrix",
+                               _optional(_matrix(4, 2))),
+        "measurement_matrix": ("measurement_matrix",
+                               _optional(_matrix(2, 4))),
+        "plant_mode": ("plant_mode", _choice(PlantMode)),
+        "linearization_sign": ("linearization_sign", _finite),
+        "lambert_direction": ("lambert_direction", _text),
+        "settle_band": ("settle_band", _finite),
+    },
+    DriftSettings: {
+        "duration_s": ("duration_s", _finite),
+        "output_dt_s": ("output_dt_s", _finite),
+        "srp_magnitude_km_s2": ("srp_magnitude_km_s2", _optional(_finite)),
+        "theta0_rad": ("theta0_rad", _finite),
+    },
+    ResponseSettings: {
+        "step_horizon_s": ("step_horizon_s", _finite),
+        "step_dt_s": ("step_dt_s", _finite),
+        "freq_points": ("freq_points", _count),
+        "freq_lo_rad_s": ("freq_lo_rad_s", _finite),
+        "freq_hi_rad_s": ("freq_hi_rad_s", _finite),
+    },
+    _Sections: {
+        "drift": ("drift", DriftSettings),
+        "response": ("response", ResponseSettings),
+    },
 }
-_SRP_KEYS = {"mode", "magnitude_km_s2", "irradiance_w_m2", "theta0_rad"}
-_CRAFT_KEYS = {"mass_kg", "area_m2", "reflectivity"}
-_WEIGHT_KEYS = {"q", "r"}
-_DRIFT_KEYS = {"duration_s", "output_dt_s", "srp_magnitude_km_s2", "theta0_rad"}
-_RESPONSE_KEYS = {"step_horizon_s", "step_dt_s", "freq_points",
-                  "freq_lo_rad_s", "freq_hi_rad_s"}
+
+
+def _read(node, context: str, *defaults):
+    """Read the JSON object `node` into one object per default: a copy of
+    the default with the fields set by the node's keys in its schema
+    table, so an absent key keeps the default.  A key in none of the
+    tables is rejected.  `context` is the node's dotted path, for messages."""
+    if not isinstance(node, dict):
+        raise ScenarioError(
+            f"{context.rstrip('.') or 'scenario root'} must be a JSON object")
+    tables = [_SCHEMA[type(default)] for default in defaults]
+    for key in node:
+        if not any(key in table for table in tables):
+            raise ScenarioError(f"unknown key {context + key!r}")
+    objects = []
+    for default, table in zip(defaults, tables):
+        changes = {}
+        for key, (name, parse) in table.items():
+            if key not in node:
+                continue
+            if parse in _SCHEMA:
+                changes[name] = _read(node[key], f"{context}{key}.",
+                                      getattr(default, name))[0]
+            else:
+                changes[name] = parse(node[key], context + key)
+        objects.append(replace(default, **changes))
+    return objects
 
 
 def build_scenario(tree: dict) -> tuple[Scenario, DriftSettings, ResponseSettings]:
     """Construct a Scenario (plus drift/response settings) from a parsed
     scenario tree, rejecting unknown keys anywhere in the tree."""
-    if not isinstance(tree, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-    _expect(tree, _TOP_KEYS, "")
-
-    constants = PhysicalConstants(
-        mu=float(tree.get("mu_km3_s2", PhysicalConstants().mu)),
-        c_light=float(tree.get("c_light_km_s", PhysicalConstants().c_light)),
-    )
-
-    srp_tree = tree.get("srp", {})
-    _expect(srp_tree, _SRP_KEYS, "srp.")
-    srp_defaults = SrpConfig()
-    srp = SrpConfig(
-        mode=srp_tree.get("mode", srp_defaults.mode),
-        magnitude_km_s2=float(srp_tree.get("magnitude_km_s2",
-                                           srp_defaults.magnitude_km_s2)),
-        irradiance_w_m2=float(srp_tree.get("irradiance_w_m2",
-                                           srp_defaults.irradiance_w_m2)),
-        theta0=float(srp_tree.get("theta0_rad", srp_defaults.theta0)),
-    )
-
-    craft_tree = tree.get("spacecraft", {})
-    _expect(craft_tree, _CRAFT_KEYS, "spacecraft.")
-    craft = SpacecraftParams(
-        mass=float(craft_tree.get("mass_kg", 500.0)),
-        area=float(craft_tree.get("area_m2", 20.0)),
-        reflectivity_multiplier=float(craft_tree.get("reflectivity", 1.0)),
-    )
-
-    weights_tree = tree.get("weights", {})
-    _expect(weights_tree, _WEIGHT_KEYS, "weights.")
-    q = _matrix_from(weights_tree["q"], "weights.q", (4, 4)) \
-        if "q" in weights_tree else np.eye(4)
-    r = _matrix_from(weights_tree["r"], "weights.r", (2, 2)) \
-        if "r" in weights_tree else np.eye(2)
-
-    defaults = Scenario()
-    x0 = _vec4(tree["x0"], "x0") if "x0" in tree else None
-    xf = _vec4(tree["xf"], "xf") if "xf" in tree else None
-
-    def _enum(cls, value, name):
-        try:
-            return cls(value)
-        except ValueError as exc:
-            options = ", ".join(e.value for e in cls)
-            raise ScenarioError(f"{name} must be one of: {options}") from exc
-
     try:
-        scenario = Scenario(
-            x0=OrbitState((x0[0], x0[1]), (x0[2], x0[3])) if x0 else defaults.x0,
-            xf=OrbitState((xf[0], xf[1]), (xf[2], xf[3])) if xf else defaults.xf,
-            horizon=float(tree.get("horizon_s", defaults.horizon)),
-            output_dt=float(tree.get("output_dt_s", defaults.output_dt)),
-            rtol=float(tree.get("rtol", defaults.rtol)),
-            atol=float(tree.get("atol", defaults.atol)),
-            srp=srp,
-            spacecraft=craft,
-            weights=Weights(q, r),
-            observer_speed_factor=float(tree.get("observer_speed_factor", 4.0)),
-            method=_enum(Method, tree.get("method", "observer_lqr"), "method"),
-            reference_mode=_enum(ReferenceMode,
-                                 tree.get("reference_mode", "lambert_arc"),
-                                 "reference_mode"),
-            xhat0=tuple(_vec4(tree["xhat0"], "xhat0"))
-            if tree.get("xhat0") is not None else None,
-            measurement_noise_sigma=_sigma_pair(
-                tree.get("measurement_noise_sigma", (0.0, 0.0))
-            ),
-            noise_seed=int(tree.get("noise_seed", 0)),
-            disturbance_matrix=_matrix_from(
-                tree["disturbance_matrix"], "disturbance_matrix", (4, 2)
-            ) if tree.get("disturbance_matrix") is not None else None,
-            measurement_matrix=_matrix_from(
-                tree["measurement_matrix"], "measurement_matrix", (2, 4)
-            ) if tree.get("measurement_matrix") is not None else None,
-            plant_mode=_enum(PlantMode, tree.get("plant_mode", "nonlinear"),
-                             "plant_mode"),
-            linearization_sign=float(tree.get("linearization_sign", 1.0)),
-            lambert_direction=str(tree.get("lambert_direction", "prograde")),
-            settle_band=float(tree.get("settle_band", 0.02)),
-            constants=constants,
-        )
-        drift_tree = tree.get("drift", {})
-        _expect(drift_tree, _DRIFT_KEYS, "drift.")
-        drift = DriftSettings(
-            duration_s=float(drift_tree.get("duration_s", 86400.0)),
-            output_dt_s=float(drift_tree.get("output_dt_s", 60.0)),
-            srp_magnitude_km_s2=(
-                float(drift_tree["srp_magnitude_km_s2"])
-                if drift_tree.get("srp_magnitude_km_s2") is not None else None
-            ),
-            theta0_rad=float(drift_tree.get("theta0_rad", 0.0)),
-        )
-        response_tree = tree.get("response", {})
-        _expect(response_tree, _RESPONSE_KEYS, "response.")
-        response = ResponseSettings(
-            step_horizon_s=float(response_tree.get("step_horizon_s", 15.0)),
-            step_dt_s=float(response_tree.get("step_dt_s", 0.01)),
-            freq_points=int(response_tree.get("freq_points", 400)),
-            freq_lo_rad_s=float(response_tree.get("freq_lo_rad_s", 1.0e-5)),
-            freq_hi_rad_s=float(response_tree.get("freq_hi_rad_s", 1.0e1)),
-        )
+        scenario, constants, sections = _read(
+            tree, "", Scenario(), PhysicalConstants(), _Sections())
+        scenario = replace(scenario, constants=constants)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
-    return scenario, drift, response
+    return scenario, sections.drift, sections.response
 
 
 def _apply_override(tree: dict, dotted: str, raw: str):
@@ -274,13 +298,15 @@ def _apply_override(tree: dict, dotted: str, raw: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    keys = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = tree
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
+    for key in parents:
         if not isinstance(node, dict):
-            raise ScenarioError(f"override path {dotted!r} crosses a non-object")
-    node[keys[-1]] = value
+            break
+        node = node.setdefault(key, {})
+    if not isinstance(node, dict):
+        raise ScenarioError(f"override path {dotted!r} crosses a non-object")
+    node[leaf] = value
 
 
 def parse_scenario(path, overrides=()) -> Scenario:
@@ -329,72 +355,42 @@ def _write_json(path: Path, payload: dict):
                                default=_json_default) + "\n")
 
 
+def _write_columns(path: Path, names: list[str], columns, fmt: str):
+    """Write equal-length named columns as CSV (a header row, then one row
+    per sample) or as a JSON object of arrays in column order.  A None
+    column is written as empty CSV fields or as JSON null."""
+    if fmt == "json":
+        payload = {name: None if col is None else np.asarray(col, float).tolist()
+                   for name, col in zip(names, columns)}
+        # Column order is part of the format: no key sorting here.
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        return
+    if fmt != "csv":
+        raise ScenarioError(f"unknown format {fmt!r}")
+    present = [np.asarray(col, float) for col in columns if col is not None]
+    row_format = ",".join("" if col is None else _CELL for col in columns) + "\n"
+    # Plain floats format faster than numpy scalars.  Converting and
+    # writing block by block keeps only one block's rows in memory.
+    with path.open("w") as fh:
+        fh.write(",".join(names) + "\n")
+        for start in range(0, present[0].size, 1024):
+            block = np.column_stack([c[start:start + 1024] for c in present])
+            fh.write("".join(row_format.format(*row)
+                             for row in block.tolist()))
+
+
 def write_series(record, path, fmt: str = "csv"):
     """Serialize a SimulationRecord with the fixed column order
     t, x_p, y_p, vx, vy, xhat_p, yhat_q, vxhat, vyhat, ux, uy, ref_x, ref_y.
     Channels without data (no observer) are emitted as empty fields in CSV
     and null in JSON."""
-    path = Path(path)
-    t = record.times
-    if t.size == 0:
+    if record.times.size == 0:
         raise ValueError("refusing to write an empty series")
     est = record.estimates
-    if fmt == "csv":
-        columns = [t[:, None], record.true_states[:, 0:4]]
-        if est is not None:
-            columns.append(est[:, 0:4])
-        columns += [record.controls[:, 0:2], record.reference[:, 0:2]]
-        est_cells = [_CELL] * 4 if est is not None else [""] * 4
-        row_format = ",".join([_CELL] * 5 + est_cells + [_CELL] * 4) + "\n"
-        # Plain floats format faster than numpy scalars.  Converting and
-        # writing block by block keeps only one block's rows in memory.
-        with path.open("w") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for start in range(0, t.size, 1024):
-                block = np.hstack([c[start:start + 1024] for c in columns])
-                fh.write("".join(row_format.format(*row)
-                                 for row in block.tolist()))
-    elif fmt == "json":
-        payload = {
-            "t": record.times.tolist(),
-            "x_p": record.true_states[:, 0].tolist(),
-            "y_p": record.true_states[:, 1].tolist(),
-            "vx": record.true_states[:, 2].tolist(),
-            "vy": record.true_states[:, 3].tolist(),
-            "xhat_p": est[:, 0].tolist() if est is not None else None,
-            "yhat_q": est[:, 1].tolist() if est is not None else None,
-            "vxhat": est[:, 2].tolist() if est is not None else None,
-            "vyhat": est[:, 3].tolist() if est is not None else None,
-            "ux": record.controls[:, 0].tolist(),
-            "uy": record.controls[:, 1].tolist(),
-            "ref_x": record.reference[:, 0].tolist(),
-            "ref_y": record.reference[:, 1].tolist(),
-        }
-        # Column order is part of the format: no key sorting here.
-        path.write_text(json.dumps(payload, indent=2,
-                                   default=_json_default) + "\n")
-    else:
-        raise ScenarioError(f"unknown format {fmt!r}")
-
-
-def _write_table(path: Path, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _emit_series(outdir: Path, stem: str, names: list[str], columns, fmt: str):
-    """Write a named-column series as stem.csv or stem.json (object of
-    arrays, preserving column order)."""
-    if fmt == "json":
-        payload = {name: [float(v) for v in col]
-                   for name, col in zip(names, columns)}
-        (outdir / f"{stem}.json").write_text(
-            json.dumps(payload, indent=2, default=_json_default) + "\n"
-        )
-    else:
-        _write_table(outdir / f"{stem}.csv", names, zip(*columns))
+    columns = [record.times, *record.true_states[:, 0:4].T,
+               *(est[:, 0:4].T if est is not None else [None] * 4),
+               *record.controls[:, 0:2].T, *record.reference[:, 0:2].T]
+    _write_columns(Path(path), SERIES_COLUMNS, columns, fmt)
 
 
 def _metrics_payload(metrics) -> dict:
@@ -569,9 +565,9 @@ def _cmd_drift(scenario, drift_cfg, response_cfg, outdir, fmt):
         constants=scenario.constants, output_dt=drift_cfg.output_dt_s,
         rtol=scenario.rtol, atol=scenario.atol,
     )
-    _emit_series(outdir, "drift_series",
-                 ["t", "deviation_km", "relative_error"],
-                 [study.times, study.deviation_km, study.relative_error], fmt)
+    _write_columns(outdir / f"drift_series.{fmt}",
+                   ["t", "deviation_km", "relative_error"],
+                   [study.times, study.deviation_km, study.relative_error], fmt)
     accel = magnitude * math.cos(drift_cfg.theta0_rad) ** 2
     ballistic = 0.5 * accel * drift_cfg.duration_s**2
     payload = {
@@ -609,7 +605,7 @@ def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
             for inp in range(2):
                 names.append(f"{label}_y{out}_u{inp}")
                 columns.append(y[:, out, inp])
-    _emit_series(outdir, "step_response", names, columns, fmt)
+    _write_columns(outdir / f"step_response.{fmt}", names, columns, fmt)
 
     grid = default_frequency_grid(response_cfg.freq_points,
                                   response_cfg.freq_lo_rad_s,
@@ -629,7 +625,7 @@ def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
                 vals = np.array([pt.response[out, inp] if pt.ok
                                  else complex("nan") for pt in points])
                 columns += [vals.real, vals.imag]
-        _emit_series(outdir, f"frequency_{name}", head, columns, fmt)
+        _write_columns(outdir / f"frequency_{name}.{fmt}", head, columns, fmt)
     _write_json(outdir / "response.json", {
         "step_settling_time_s": settle,
         "step_horizon_s": response_cfg.step_horizon_s,

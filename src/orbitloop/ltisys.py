@@ -29,7 +29,24 @@ __all__ = [
     "zero_input_response",
     "zero_state_response",
     "step_response",
+    "check_grid",
+    "MAX_GRID_STEPS",
 ]
+
+# Most steps any sampling grid may hold: 25x the default 4000 s / 0.1 s
+# output grid.  A finer grid is almost surely a mistyped step, and its
+# arrays alone would take gigabytes.
+MAX_GRID_STEPS = 1_000_000
+
+
+def check_grid(span: float, step: float, name: str):
+    """Raise ValueError unless span and step are positive and a grid of
+    span/step steps stays within MAX_GRID_STEPS."""
+    if not (span > 0 and step > 0):
+        raise ValueError(f"{name} span and step must be positive")
+    if span / step > MAX_GRID_STEPS:
+        raise ValueError(f"{name} grid of {span / step:.3g} steps exceeds "
+                         f"the limit of {MAX_GRID_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -250,8 +267,7 @@ def step_response(sys: StateSpace, horizon: float, dt: float):
     Returns (t, y) with y of shape len(t) x p x m: y[:, :, j] is the output
     trajectory for a unit step applied on input j alone.
     """
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
+    check_grid(horizon, dt, "step response")
     n_steps = int(round(horizon / dt))
     t = np.arange(n_steps + 1) * dt
     y = np.empty((t.size, sys.n_outputs, sys.n_inputs))

@@ -27,7 +27,7 @@ from .dynamics import (
     srp_accel,
 )
 from .errors import DimensionError, NotApplicableError, NumericalError
-from .ltisys import StateSpace, stability_class
+from .ltisys import StateSpace, check_grid, stability_class
 from .synthesis import (
     SynthesisResult,
     Weights,
@@ -53,8 +53,6 @@ __all__ = [
     "srp_drift_study",
     "propagate_two_body",
     "synthesize_for_scenario",
-    "check_grid",
-    "MAX_GRID_STEPS",
     "REFERENCE_METRICS",
     "REFERENCE_EIGENVALUES",
     "REFERENCE_GAINS",
@@ -116,22 +114,6 @@ REFERENCE_GAINS = {
 }
 REFERENCE_NATURAL_FREQ_SQ = 0.004865  # quoted transfer-function constant, unreproduced
 REFERENCE_SRP_PRESSURE_PA = 9.0769e-6
-
-
-# Most steps any sampling grid may hold: 25x the default 4000 s / 0.1 s
-# output grid.  A finer grid is almost surely a mistyped step, and its
-# arrays alone would take gigabytes.
-MAX_GRID_STEPS = 1_000_000
-
-
-def check_grid(span: float, step: float, name: str):
-    """Raise ValueError unless span and step are positive and a grid of
-    span/step steps stays within MAX_GRID_STEPS."""
-    if not (span > 0 and step > 0):
-        raise ValueError(f"{name} span and step must be positive")
-    if span / step > MAX_GRID_STEPS:
-        raise ValueError(f"{name} grid of {span / step:.3g} steps exceeds "
-                         f"the limit of {MAX_GRID_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -502,8 +484,7 @@ def srp_drift_study(
 ) -> DriftStudy:
     """Propagate the same initial orbit with and without SRP and emit the
     position deviation and relative position error over time."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    check_grid(duration, output_dt, "drift")
     n = max(1, int(round(duration / output_dt)))
     t = np.linspace(0.0, duration, n + 1)
     accel = srp_accel(srp, craft, constants)

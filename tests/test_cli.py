@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,14 +143,67 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     ("drift", "drift.output_dt_s=1e-6"),
     ("response", "response.step_dt_s=1e-9"),
     ("response", "response.freq_points=1000001"),
+    # Malformed sections and values, each refused while parsing.
+    ("analyze", "srp=5"),
+    ("analyze", "srp=[]"),
+    ("analyze", "weights=3"),
+    ("analyze", 'weights.q="abc"'),
+    ("analyze", 'mu_km3_s2="x"'),
+    ("analyze", "mu_km3_s2=-1"),
+    ("analyze", 'srp.mode="bogus"'),
+    ("analyze", "spacecraft.mass_kg=-1"),
+    ("simulate", "noise_seed=-1"),
+    ("simulate", "noise_seed=1.7"),
+    ("simulate", "rtol=NaN"),
+    pytest.param("analyze", "horizon_s=1" + "0" * 400,
+                 id="analyze-horizon_s=10**400"),
+    pytest.param("analyze", "weights.r=[1" + "0" * 400 + ", 1]",
+                 id="analyze-weights.r=[10**400, 1]"),
 ])
 def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
                                                override):
     path = _write(tmp_path, {})
     code = cli.dispatch(command, path, tmp_path / "out", "csv", [override])
+    _assert_input_error(code, capsys)
+
+
+def test_dispatch_non_object_root_with_override_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, [])
+    code = cli.dispatch("analyze", path, tmp_path / "out", "csv",
+                        ["horizon_s=400"])
+    _assert_input_error(code, capsys)
+
+
+def _assert_input_error(code, capsys):
     assert code == 2
-    diagnostic = json.loads(capsys.readouterr().err.strip())
-    assert diagnostic["error"] == "ScenarioError"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ScenarioError"
+
+
+def test_schema_sets_every_field_once():
+    # Every dataclass field is set by exactly one JSON key, or is a nested
+    # section under its own key, so a field that no scenario file can reach
+    # fails here.  Scenario.constants is read from the PhysicalConstants
+    # keys, which sit beside the scenario's own at the root.
+    assert {ol.SrpConfig, ol.SpacecraftParams, ol.Weights,
+            ol.PhysicalConstants, ol.Scenario, cli.DriftSettings,
+            cli.ResponseSettings} <= set(cli._SCHEMA)
+    for cls, table in cli._SCHEMA.items():
+        names = sorted(name for name, _ in table.values())
+        expected = {f.name for f in dataclasses.fields(cls)}
+        if cls is ol.Scenario:
+            expected.remove("constants")
+        assert names == sorted(expected), cls.__name__
+
+
+def test_readme_key_block_gives_defaults():
+    # The README lists every key with its default value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    tree = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert cli.build_scenario(tree) == (ol.Scenario(), cli.DriftSettings(),
+                                        cli.ResponseSettings())
 
 
 def test_dispatch_simulate_writes_series_and_metrics(tmp_path):

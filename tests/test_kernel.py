@@ -4,6 +4,7 @@ flag, or numba being absent, selects the fallback."""
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,18 @@ def test_kernel_status_singular_radius():
         assert "1 km" in str(exc)
     else:  # pragma: no cover - the guard must trip
         raise AssertionError("expected a singularity failure")
+
+
+def test_nan_error_norm_fails_fast():
+    # A NaN tolerance or constant makes the error norm, and so the next
+    # step size, NaN.  The step-size guards must end the run at once
+    # instead of retrying until the 50,000,000-step budget.
+    with pytest.raises(ol.NumericalError):
+        ol.run_scenario(ol.Scenario(rtol=math.nan, horizon=10.0,
+                                    output_dt=1.0))
+    with pytest.raises(ol.NumericalError):
+        ol.propagate_two_body(ol.Scenario().x0, [0.0, 10.0],
+                              constants=ol.PhysicalConstants(mu=math.nan))
 
 
 def _kernel_calls(monkeypatch, scenario):

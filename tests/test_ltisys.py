@@ -170,6 +170,15 @@ def test_step_response_first_order():
     assert abs(y[-1, 0, 0] - (1.0 - np.exp(-1.0))) < 1e-12
 
 
+def test_step_response_grid_bound():
+    # Refused on horizon / dt alone: a grid of 1e15 steps would fail to
+    # allocate with MemoryError, not ValueError.
+    sys = ol.StateSpace(np.array([[-1.0]]), np.array([[1.0]]),
+                        np.array([[1.0]]))
+    with pytest.raises(ValueError, match="exceeds"):
+        ol.step_response(sys, 1.0e12, 1.0e-3)
+
+
 def test_step_response_settles_to_dc_gain(plant, lqr_design):
     closed = ol.StateSpace(plant.a - plant.b @ lqr_design.k, plant.b, plant.c)
     t, y = ol.step_response(closed, 30.0, 0.01)

@@ -332,3 +332,11 @@ def test_orbit_state_vector_round_trip():
     s = ol.Scenario()
     vec = s.x0.as_vector()
     assert ol.OrbitState.from_vector(vec) == s.x0
+
+
+def test_drift_study_grid_bound():
+    # Refused on duration / output_dt alone: a grid of 1e15 steps would
+    # fail to allocate with MemoryError, not ValueError.
+    with pytest.raises(ValueError, match="exceeds"):
+        ol.srp_drift_study(1.0e12, ol.SpacecraftParams(), ol.SrpConfig(),
+                           ol.Scenario().x0, output_dt=1.0e-3)
