@@ -56,6 +56,7 @@ from .simulate import (
     compute_metrics,
     propagate_two_body,
     run_scenario,
+    settling_time,
     srp_drift_study,
     synthesize_for_scenario,
 )
@@ -111,7 +112,7 @@ _CELL = "{:.17g}"  # _fmt's format, as a str.format field for whole rows
 
 def _finite(value, name):
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, (str, bool)) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
@@ -647,11 +648,10 @@ def _settling_from_step(t, y, band):
         final = series[-1]
         spread = np.abs(series - final)
         scale = max(abs(final), spread.max(), 1e-30)
-        suffix = np.maximum.accumulate(spread[::-1])[::-1]
-        idx = np.nonzero(suffix <= band * scale)[0]
-        if idx.size == 0:
+        settle = settling_time(t, spread, band * scale)
+        if settle is None:
             return None
-        worst = max(worst, float(t[idx[0]]))
+        worst = max(worst, settle)
     return worst
 
 

@@ -50,7 +50,7 @@ class PhysicalConstants:
     c_light: float = 2.99792458e5
 
     def __post_init__(self):
-        if self.mu <= 0 or self.c_light <= 0:
+        if not (self.mu > 0 and self.c_light > 0):
             raise ValueError("physical constants must be positive")
 
 
@@ -65,9 +65,9 @@ class SpacecraftParams:
     reflectivity_multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.area <= 0:
+        if not self.area > 0:
             raise ValueError("area must be positive")
         if not 1.0 <= self.reflectivity_multiplier <= 2.0:
             raise ValueError("reflectivity multiplier must lie in [1, 2]")
@@ -92,9 +92,9 @@ class SrpConfig:
             raise ValueError(f"unknown SRP mode {self.mode!r}")
         if not 0.0 <= self.theta0 <= math.pi / 2:
             raise ValueError("theta0 must lie in [0, pi/2]")
-        if self.mode == "direct" and self.magnitude_km_s2 < 0:
+        if self.mode == "direct" and not self.magnitude_km_s2 >= 0:
             raise ValueError("magnitude must be non-negative")
-        if self.mode == "irradiance" and self.irradiance_w_m2 < 0:
+        if self.mode == "irradiance" and not self.irradiance_w_m2 >= 0:
             raise ValueError("irradiance must be non-negative")
 
 

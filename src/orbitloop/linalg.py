@@ -21,6 +21,7 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
+    "conjugate_groups",
     "eigenvalues",
     "rank",
     "solve_linear",
@@ -57,12 +58,37 @@ def _square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def conjugate_groups(values) -> list[tuple[complex, ...]]:
+    """Split a set closed under conjugation into real singletons and
+    (+imag, -imag) pairs, ordered by descending real part, ties by
+    descending |imag| and then imag.  A value x is real when |imag x| <=
+    1e-9 |x|; any other x pairs with the value nearest its conjugate, which
+    must lie within 1e-9 |x| of it.  Raises ValueError for a value that is
+    not finite or has no partner.
+    """
+    v = np.ravel(np.asarray(values, dtype=complex))
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    vals = [complex(x) for x in v]
+    tol = 1e-9
+    groups = []
+    while vals:
+        x = vals.pop(0)
+        if abs(x.imag) <= tol * abs(x):
+            groups.append((x,))
+            continue
+        y = min(vals, key=lambda w: abs(w - x.conjugate()), default=None)
+        if y is None or abs(y - x.conjugate()) > tol * abs(x):
+            raise ValueError(f"{x} is neither real nor paired with its conjugate")
+        vals.remove(y)
+        groups.append((x, y) if x.imag > 0 else (y, x))
+    return sorted(groups, key=lambda g: (-g[0].real, -abs(g[0].imag), -g[0].imag))
+
+
 def sorted_spectrum(values) -> np.ndarray:
-    """Order eigenvalues by descending real part, ties by descending
-    imaginary part."""
-    v = np.asarray(values, dtype=complex)
-    order = np.lexsort((-v.imag, -v.real))
-    return v[order]
+    """Order a set closed under conjugation by its conjugate groups
+    (conjugate_groups), writing each pair as +imag then -imag."""
+    return np.array([x for g in conjugate_groups(values) for x in g], dtype=complex)
 
 
 def spectra_close(a, b, tol: float = 1e-8) -> bool:
@@ -84,31 +110,17 @@ def spectra_close(a, b, tol: float = 1e-8) -> bool:
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a square matrix, with multiplicity.
 
-    For real input the result is conjugate-symmetric: eigenvalues with
-    tiny imaginary residue are snapped to the real axis and complex pairs
-    are symmetrized.  Returns a complex array sorted by descending real
-    part (ties by descending imaginary part).
+    Eigenvalues within 1e-13 * max(1, ||m||) of the real axis are snapped
+    onto it; LAPACK returns the others of a real matrix as exact conjugate
+    pairs.  Returns a complex array in sorted_spectrum order.
     """
     a = _square(m)
     try:
         lam = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR sweep did not converge
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    lam = lam.copy()
-    lam[np.abs(lam.imag) <= 1e-13 * scale] = lam[np.abs(lam.imag) <= 1e-13 * scale].real
-    # Symmetrize conjugate pairs: match each +imag value with its closest
-    # -imag partner and average the pair.
-    pos = [i for i in range(lam.size) if lam[i].imag > 0]
-    neg = [i for i in range(lam.size) if lam[i].imag < 0]
-    for i in pos:
-        if not neg:
-            break
-        j = min(neg, key=lambda k: abs(lam[k] - lam[i].conjugate()))
-        mean = 0.5 * (lam[i] + lam[j].conjugate())
-        lam[i] = mean
-        lam[j] = mean.conjugate()
-        neg.remove(j)
+    near_real = np.abs(lam.imag) <= 1e-13 * max(1.0, float(np.linalg.norm(a, 2)))
+    lam[near_real] = lam[near_real].real
     return sorted_spectrum(lam)
 
 

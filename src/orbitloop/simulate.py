@@ -48,6 +48,7 @@ __all__ = [
     "DriftStudy",
     "run_scenario",
     "compute_metrics",
+    "settling_time",
     "estimation_error_series",
     "compare_methods",
     "srp_drift_study",
@@ -150,13 +151,13 @@ class Scenario:
         if not 0 < self.output_dt <= self.horizon:
             raise ValueError("output_dt must lie in (0, horizon]")
         check_grid(self.horizon, self.output_dt, "output")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("rtol and atol must be positive")
-        if self.observer_speed_factor <= 0:
+        if not self.observer_speed_factor > 0:
             raise ValueError("observer speed factor must be positive")
         if not 0 < self.settle_band < 1:
             raise ValueError("settle band must lie in (0, 1)")
-        if any(s < 0 for s in self.measurement_noise_sigma):
+        if not all(s >= 0 for s in self.measurement_noise_sigma):
             raise ValueError("noise sigma must be non-negative")
         if self.linearization_sign not in (1.0, -1.0):
             raise ValueError("linearization sign must be +1 or -1")
@@ -365,8 +366,6 @@ def run_scenario(s: Scenario) -> SimulationRecord:
     else:
         err = None
         estimates = None
-    if s.method in (Method.UNCONTROLLED, Method.OBSERVER_ONLY):
-        ctrl = np.zeros_like(ctrl)
     return SimulationRecord(
         method=s.method,
         times=t_out,
@@ -399,12 +398,17 @@ def compute_metrics(rec: SimulationRecord, xf: OrbitState,
     else:
         rms = terminal
         energy = 0.0
-    threshold = settle_band * float(pos_err[0])
-    suffix_max = np.maximum.accumulate(pos_err[::-1])[::-1]
-    inside = np.nonzero(suffix_max <= threshold)[0]
-    settling = float(t[inside[0]]) if inside.size else None
+    settling = settling_time(t, pos_err, settle_band * float(pos_err[0]))
     return Metrics(terminal_error_km=terminal, rms_error_km=rms,
                    control_energy=energy, settling_time_s=settling)
+
+
+def settling_time(t, deviation, threshold) -> float | None:
+    """First time after which `deviation` stays at or below `threshold`;
+    None when it never does."""
+    suffix_max = np.maximum.accumulate(deviation[::-1])[::-1]
+    inside = np.nonzero(suffix_max <= threshold)[0]
+    return float(t[inside[0]]) if inside.size else None
 
 
 def estimation_error_series(rec: SimulationRecord):
@@ -416,10 +420,6 @@ def estimation_error_series(rec: SimulationRecord):
         )
     e = rec.estimation_error
     return rec.times, np.hypot(e[:, 0], e[:, 1]), np.hypot(e[:, 2], e[:, 3])
-
-
-def _stability_label(matrix) -> str:
-    return stability_class(matrix).value
 
 
 def compare_methods(s: Scenario) -> ComparisonReport:
@@ -444,10 +444,10 @@ def compare_methods(s: Scenario) -> ComparisonReport:
         },
     }
     stab_info = {
-        Method.UNCONTROLLED: _stability_label(a),
-        Method.LQR: _stability_label(a - bk),
-        Method.OBSERVER_ONLY: _stability_label(a),
-        Method.OBSERVER_LQR: _stability_label(sep.error_coords),
+        Method.UNCONTROLLED: stability_class(a).value,
+        Method.LQR: stability_class(a - bk).value,
+        Method.OBSERVER_ONLY: stability_class(a).value,
+        Method.OBSERVER_LQR: stability_class(sep.error_coords).value,
     }
 
     reports = []

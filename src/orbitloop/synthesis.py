@@ -127,38 +127,27 @@ def _state_components(a: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def _conjugate_closed(poles: np.ndarray) -> bool:
-    a = linalg.sorted_spectrum(poles)
-    b = linalg.sorted_spectrum(np.conj(poles))
-    return bool(np.allclose(a, b, rtol=1e-9, atol=1e-12))
+def _split_conjugate_groups(units, sizes: list[int]) -> list[np.ndarray]:
+    """Deal conjugate groups (linalg.conjugate_groups) to channels of the
+    given sizes: the first assignment in lexicographic order that fills
+    every channel exactly."""
 
+    def assign(i, room):
+        if i == len(units):
+            return [[] for _ in room]
+        for k in range(len(room)):
+            if len(units[i]) <= room[k]:
+                left = room[:k] + [room[k] - len(units[i])] + room[k + 1:]
+                groups = assign(i + 1, left)
+                if groups is not None:
+                    groups[k][:0] = units[i]
+                    return groups
+        return None
 
-def _split_conjugate_groups(poles: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Partition a conjugate-closed pole set into conjugate-closed groups of
-    the given sizes, keeping each complex pair together."""
-    remaining = list(linalg.sorted_spectrum(poles))
-    groups = []
-    for size in sizes:
-        group: list[complex] = []
-        while len(group) < size:
-            p = remaining.pop(0)
-            group.append(p)
-            if abs(p.imag) > 1e-12 * max(1.0, abs(p)):
-                if len(group) >= size:
-                    raise SynthesisError(
-                        "cannot split a complex-conjugate pole pair across "
-                        "channels"
-                    )
-                j = min(
-                    range(len(remaining)),
-                    key=lambda i: abs(remaining[i] - p.conjugate()),
-                    default=None,
-                )
-                if j is None:
-                    raise SynthesisError("unpaired complex pole")
-                group.append(remaining.pop(j))
-        groups.append(np.array(group))
-    return groups
+    groups = assign(0, list(sizes))
+    if groups is None:
+        raise SynthesisError("poles do not split into conjugate-closed channels")
+    return [np.array(g) for g in groups]
 
 
 def _ackermann(a: np.ndarray, b: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -188,9 +177,9 @@ def place_poles(a, b, desired) -> np.ndarray:
     Supports single-input systems via Ackermann's formula and systems that
     decouple into independent single-input channels (such as the planar
     plant, whose x and y axes are separate two-state channels).  For the
-    decoupled case the desired set is sorted, kept conjugate-paired, and
-    assigned group by group to the channels in order of each channel's
-    lowest state index.
+    decoupled case the real poles and conjugate pairs of the desired set,
+    in linalg.sorted_spectrum order, are dealt to the channels (ordered by
+    lowest state index) in the first way that splits no pair.
     """
     am = linalg.as_matrix(a, "a")
     if am.shape[0] != am.shape[1]:
@@ -202,8 +191,7 @@ def place_poles(a, b, desired) -> np.ndarray:
     poles = np.atleast_1d(np.asarray(desired, dtype=complex))
     if poles.size != n:
         raise ValueError(f"need {n} desired poles, got {poles.size}")
-    if not _conjugate_closed(poles):
-        raise ValueError("desired poles must be closed under conjugation")
+    units = linalg.conjugate_groups(poles)  # ValueError unless conjugate-closed
 
     if m == 1:
         return _ackermann(am, bm, poles).reshape(1, n)
@@ -212,7 +200,7 @@ def place_poles(a, b, desired) -> np.ndarray:
     scale = max(1.0, np.abs(bm).max())
     k = np.zeros((m, n))
     used_inputs = set()
-    groups = _split_conjugate_groups(poles, [len(c) for c in comps])
+    groups = _split_conjugate_groups(units, [len(c) for c in comps])
     for comp, sub_poles in zip(comps, groups):
         rows = np.array(comp)
         touching = [

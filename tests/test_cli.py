@@ -155,6 +155,9 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     ("simulate", "noise_seed=-1"),
     ("simulate", "noise_seed=1.7"),
     ("simulate", "rtol=NaN"),
+    # JSON strings and booleans are not numbers.
+    ("analyze", 'horizon_s="400"'),
+    ("analyze", "rtol=true"),
     pytest.param("analyze", "horizon_s=1" + "0" * 400,
                  id="analyze-horizon_s=10**400"),
     pytest.param("analyze", "weights.r=[1" + "0" * 400 + ", 1]",

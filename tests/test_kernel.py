@@ -115,15 +115,16 @@ def test_kernel_status_singular_radius():
 
 
 def test_nan_error_norm_fails_fast():
-    # A NaN tolerance or constant makes the error norm, and so the next
+    # A NaN tolerance or acceleration makes the error norm, and so the next
     # step size, NaN.  The step-size guards must end the run at once
-    # instead of retrying until the 50,000,000-step budget.
+    # instead of retrying until the 50,000,000-step budget.  Scenario and
+    # PhysicalConstants refuse NaN, so the kernel is reached through the
+    # plain arguments of propagate_two_body.
+    x0 = ol.Scenario().x0
     with pytest.raises(ol.NumericalError):
-        ol.run_scenario(ol.Scenario(rtol=math.nan, horizon=10.0,
-                                    output_dt=1.0))
+        ol.propagate_two_body(x0, [0.0, 10.0], rtol=math.nan)
     with pytest.raises(ol.NumericalError):
-        ol.propagate_two_body(ol.Scenario().x0, [0.0, 10.0],
-                              constants=ol.PhysicalConstants(mu=math.nan))
+        ol.propagate_two_body(x0, [0.0, 10.0], a_srp=(math.nan, 0.0))
 
 
 def _kernel_calls(monkeypatch, scenario):

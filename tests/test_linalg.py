@@ -165,3 +165,28 @@ def test_sorted_spectrum_ordering():
     assert out[1] == 1 + 1j
     assert out[2] == 1 - 1j
     assert out[3] == -2.0
+
+
+def test_sorted_spectrum_keeps_pairs_together():
+    # Two channel blocks one ulp apart: equal real parts and imaginary
+    # parts that differ in the last bit.  Sorting value by value would
+    # interleave them as [+, +, -, -]; each pair stays together instead.
+    block = np.array([[0.0, 1.0], [-2.0, -1.0]])
+    nudged = block.copy()
+    nudged[1, 0] = np.nextafter(-2.0, -np.inf)
+    m = np.zeros((4, 4))
+    m[:2, :2] = block
+    m[2:, 2:] = nudged
+    lam = ol.eigenvalues(m)
+    assert list(np.sign(lam.imag)) == [1, -1, 1, -1]
+    assert lam[1] == np.conj(lam[0]) and lam[3] == np.conj(lam[2])
+    assert lam[0].imag >= lam[2].imag
+
+
+@pytest.mark.parametrize("values", [
+    [-1 + 1j, -1 + 1j], [-1 + 1j, -1 - 1.1j], [-1 + 1j], [np.nan, -1.0],
+    [np.inf, -1.0],
+])
+def test_conjugate_groups_rejects_unpaired_or_non_finite(values):
+    with pytest.raises(ValueError):
+        linalg.conjugate_groups(values)

@@ -42,6 +42,29 @@ def test_scenario_validation():
         ol.Scenario(settle_band=1.5)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ol.Scenario(rtol=NAN),
+    lambda: ol.Scenario(atol=NAN),
+    lambda: ol.Scenario(observer_speed_factor=NAN),
+    lambda: ol.Scenario(measurement_noise_sigma=(NAN, 0.0)),
+    lambda: ol.Scenario(measurement_noise_sigma=(0.0, NAN)),
+    lambda: ol.PhysicalConstants(mu=NAN),
+    lambda: ol.PhysicalConstants(c_light=NAN),
+    lambda: ol.SpacecraftParams(mass=NAN),
+    lambda: ol.SpacecraftParams(area=NAN),
+    lambda: ol.SrpConfig(magnitude_km_s2=NAN),
+    lambda: ol.SrpConfig(mode="irradiance", irradiance_w_m2=NAN),
+], ids=["rtol", "atol", "observer_speed_factor", "noise_sigma_x",
+        "noise_sigma_y", "mu", "c_light", "mass", "area", "srp_magnitude",
+        "srp_irradiance"])
+def test_dataclasses_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_scenario_grid_bound():
     # The bound is checked on horizon / output_dt alone, so these
     # constructions allocate no grid.

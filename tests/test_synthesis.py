@@ -96,6 +96,29 @@ def test_place_full_plant_roundtrip(plant):
                          complex_set, tol=1e-8)
 
 
+def test_observer_gain_splits_real_poles_around_a_pair(plant):
+    # Observer set of a weighting whose slowest pole is real: it sorts
+    # ahead of the pair, which must still go to one channel whole while
+    # the two real poles share the other.
+    poles = np.array([-0.5988824449341026,
+                      -1.8195808393651571 + 1.6514484511004663j,
+                      -1.8195808393651571 - 1.6514484511004663j,
+                      -5.5335816331057455])
+    l = ol.observer_gain(plant.a, plant.c, poles / 4.0, 4.0)
+    assert spectra_close(ol.eigenvalues(plant.a - l @ plant.c), poles,
+                         tol=1e-8)
+
+
+def test_observer_gain_default_scenario_pinned(observer_design):
+    # Guards the channel split and the pole order inside each channel:
+    # both decide the roundoff of the default observer gain.
+    pinned = np.array([[6.928204178117566, 0.0],
+                       [0.0, 6.928204178117567],
+                       [16.00000041042898, 0.0],
+                       [0.0, 16.00000041042893]])
+    assert np.array_equal(observer_design, pinned)
+
+
 def test_place_errors(plant):
     with pytest.raises(ol.SynthesisError):
         ol.place_poles(plant.a, np.zeros((4, 2)), [-1, -1, -1, -1])
