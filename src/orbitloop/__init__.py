@@ -61,12 +61,14 @@ from .simulate import (
     PlantMode,
     ReferenceMode,
     Scenario,
+    ScenarioDesign,
     SimulationRecord,
     compare_methods,
     compute_metrics,
     estimation_error_series,
     propagate_two_body,
     run_scenario,
+    scenario_plant,
     srp_drift_study,
     synthesize_for_scenario,
 )

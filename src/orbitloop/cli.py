@@ -27,7 +27,6 @@ from .dynamics import (
     SpacecraftParams,
     SrpConfig,
     lambert_solve,
-    linearize_plant,
 )
 from .errors import GammaRangeError, ScenarioError, SynthesisError
 from .linalg import eigenvalues, rank
@@ -56,13 +55,13 @@ from .simulate import (
     compute_metrics,
     propagate_two_body,
     run_scenario,
+    scenario_plant,
     settling_time,
     srp_drift_study,
     synthesize_for_scenario,
 )
 from .synthesis import (
     Weights,
-    assemble_separation_loop,
     hinf_state_feedback,
     lqr_loop_transfer,
     observer_compensator,
@@ -406,18 +405,12 @@ def _metrics_payload(metrics) -> dict:
 def _cmd_analyze(scenario, drift_cfg, response_cfg, outdir, fmt):
     # Pure analysis: rank tests and the open-loop spectrum do not require a
     # successful synthesis, so degenerate scenarios still get a report.
-    r0 = float(np.hypot(*scenario.x0.position))
-    plant = linearize_plant(r0, scenario.constants,
-                            scenario.linearization_sign)
-    sys_meas = StateSpace(plant.a, plant.b,
-                          plant.c if scenario.measurement_matrix is None
-                          else scenario.measurement_matrix)
+    plant = scenario_plant(scenario)
     ctrb = controllability_matrix(plant)
-    obsv = observability_matrix(sys_meas)
+    obsv = observability_matrix(plant)
     spectrum = eigenvalues(plant.a)
     stability = stability_class(plant.a)
-    w2 = scenario.linearization_sign * scenario.constants.mu \
-        / float(np.hypot(*scenario.x0.position)) ** 3
+    w2 = plant.a[2, 0]
     payload = {
         "rank_controllability": rank(ctrb),
         "rank_observability": rank(obsv),
@@ -436,8 +429,7 @@ def _cmd_analyze(scenario, drift_cfg, response_cfg, outdir, fmt):
 
 
 def _cmd_synthesize(scenario, drift_cfg, response_cfg, outdir, fmt):
-    plant, lqr, l_gain = synthesize_for_scenario(scenario)
-    sep = assemble_separation_loop(plant.a, plant.b, plant.c, lqr.k, l_gain)
+    plant, g, lqr, l_gain, loop = synthesize_for_scenario(scenario)
     payload = {
         "gain_k": lqr.k,
         "riccati_p": lqr.p,
@@ -447,12 +439,10 @@ def _cmd_synthesize(scenario, drift_cfg, response_cfg, outdir, fmt):
             eigenvalues(plant.a - l_gain @ plant.c)
         ),
         "separation_loop_eigenvalues": _complex_list(
-            eigenvalues(sep.error_coords)
+            eigenvalues(loop.error_coords)
         ),
         "reference_gains": REFERENCE_GAINS,
     }
-    g = plant.b if scenario.disturbance_matrix is None \
-        else scenario.disturbance_matrix
     try:
         hinf = hinf_state_feedback(plant.a, plant.b, g, scenario.weights,
                                    (1e-2, 1e4))
@@ -586,14 +576,11 @@ def _cmd_drift(scenario, drift_cfg, response_cfg, outdir, fmt):
 
 
 def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
-    plant, lqr, l_gain = synthesize_for_scenario(scenario)
-    g = plant.b if scenario.disturbance_matrix is None \
-        else scenario.disturbance_matrix
-    sep = assemble_separation_loop(plant.a, plant.b, plant.c, lqr.k, l_gain)
+    plant, g, lqr, l_gain, loop = synthesize_for_scenario(scenario)
     b_aug = np.vstack([g, g])
     c_aug = np.hstack([plant.c, np.zeros_like(plant.c)])
     closed_a = StateSpace(plant.a - plant.b @ lqr.k, g, plant.c)
-    closed_c = StateSpace(sep.error_coords, b_aug, c_aug)
+    closed_c = StateSpace(loop.error_coords, b_aug, c_aug)
 
     t, y_c = step_response(closed_c, response_cfg.step_horizon_s,
                            response_cfg.step_dt_s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .dynamics import (
 from .errors import DimensionError, NotApplicableError, NumericalError
 from .ltisys import StateSpace, check_grid, stability_class
 from .synthesis import (
+    SeparationLoop,
     SynthesisResult,
     Weights,
     assemble_separation_loop,
@@ -46,6 +48,7 @@ __all__ = [
     "MethodReport",
     "ComparisonReport",
     "DriftStudy",
+    "ScenarioDesign",
     "run_scenario",
     "compute_metrics",
     "settling_time",
@@ -53,6 +56,7 @@ __all__ = [
     "compare_methods",
     "srp_drift_study",
     "propagate_two_body",
+    "scenario_plant",
     "synthesize_for_scenario",
     "REFERENCE_METRICS",
     "REFERENCE_EIGENVALUES",
@@ -163,6 +167,11 @@ class Scenario:
             raise ValueError("linearization sign must be +1 or -1")
         if self.lambert_direction not in ("prograde", "retrograde"):
             raise ValueError("lambert direction must be 'prograde' or 'retrograde'")
+        for name, shape in (("measurement_matrix", (2, 4)),
+                            ("disturbance_matrix", (4, 2))):
+            m = getattr(self, name)
+            if m is not None and linalg.as_matrix(m, name).shape != shape:
+                raise DimensionError(f"{name} must be {shape[0]}x{shape[1]}")
 
     def initial_estimate(self) -> np.ndarray:
         if self.xhat0 is not None:
@@ -238,28 +247,19 @@ class DriftStudy:
     relative_error: np.ndarray
 
 
-def _raise_for_status(status: int):
-    if status != _dopri.STATUS_OK:
-        raise NumericalError(_STATUS_MESSAGES.get(status, f"status {status}"))
-
-
 def _propagate(z0, t_out, mu, a_srp, method_id, plant_linear, ref_moving,
                am, b, cm, g, k, l, noise, rtol, atol):
+    """The kernel's run on contiguous float arrays; a run that does not end
+    with STATUS_OK raises NumericalError."""
+    z0, t_out, am, b, cm, g, k, l, noise = (
+        np.ascontiguousarray(x, dtype=float)
+        for x in (z0, t_out, am, b, cm, g, k, l, noise))
     state, ctrl, status = _dopri.propagate_grid(
-        np.ascontiguousarray(z0, dtype=float),
-        np.ascontiguousarray(t_out, dtype=float),
-        float(mu), float(a_srp[0]), float(a_srp[1]),
-        method_id, plant_linear, ref_moving,
-        np.ascontiguousarray(am, dtype=float),
-        np.ascontiguousarray(b, dtype=float),
-        np.ascontiguousarray(cm, dtype=float),
-        np.ascontiguousarray(g, dtype=float),
-        np.ascontiguousarray(k, dtype=float),
-        np.ascontiguousarray(l, dtype=float),
-        np.ascontiguousarray(noise, dtype=float),
-        float(rtol), float(atol), 50_000_000,
-    )
-    _raise_for_status(status)
+        z0, t_out, float(mu), float(a_srp[0]), float(a_srp[1]), method_id,
+        plant_linear, ref_moving, am, b, cm, g, k, l, noise, float(rtol),
+        float(atol), 50_000_000)
+    if status != _dopri.STATUS_OK:
+        raise NumericalError(_STATUS_MESSAGES.get(status, f"status {status}"))
     return state, ctrl
 
 
@@ -273,6 +273,10 @@ def propagate_two_body(
 ) -> np.ndarray:
     """Free-flight propagation of [p, q, pdot, qdot] on the given time grid
     under central gravity plus an optional constant SRP acceleration."""
+    if not (rtol > 0 and atol > 0):
+        raise ValueError("rtol and atol must be positive")
+    if not all(math.isfinite(a) for a in a_srp):
+        raise ValueError("SRP acceleration must be finite")
     t = np.asarray(tgrid, dtype=float)
     z0 = np.zeros(12)
     z0[0:4] = state0.as_vector()
@@ -287,22 +291,44 @@ def propagate_two_body(
     return state[:, 0:4]
 
 
-def synthesize_for_scenario(s: Scenario) -> tuple[StateSpace, SynthesisResult, np.ndarray]:
-    """Linearized plant, LQR synthesis and observer gain for a scenario.
+class ScenarioDesign(NamedTuple):
+    """The linear design of a scenario: the plant (A, B and the scenario's
+    measurement map as C), the disturbance input map g, the LQR synthesis,
+    the observer gain l and the separation loop built from that same C."""
+
+    plant: StateSpace
+    g: np.ndarray
+    lqr: SynthesisResult
+    l: np.ndarray
+    loop: SeparationLoop
+
+
+def scenario_plant(s: Scenario) -> StateSpace:
+    """The plant linearized at |x0|, measured through the scenario's
+    measurement map (None: the position outputs)."""
+    plant = linearize_plant(float(np.hypot(*s.x0.position)), s.constants,
+                            s.linearization_sign)
+    if s.measurement_matrix is None:
+        return plant
+    return StateSpace(plant.a, plant.b, s.measurement_matrix)
+
+
+def synthesize_for_scenario(s: Scenario) -> ScenarioDesign:
+    """The scenario's linear design, shared by every method that runs it.
 
     The observer poles sit at speed_factor times the LQR closed-loop poles;
     the LQR design is computed even for methods that do not apply control,
-    because it defines that pole base.
+    because it defines that pole base.  The disturbance map g defaults to B
+    (disturbances matched through the inputs).
     """
-    r0 = float(np.hypot(*s.x0.position))
-    plant = linearize_plant(r0, s.constants, s.linearization_sign)
+    plant = scenario_plant(s)
+    g = plant.b if s.disturbance_matrix is None \
+        else linalg.as_matrix(s.disturbance_matrix, "disturbance_matrix")
     lqr = lqr_gain(plant.a, plant.b, s.weights)
-    c_meas = plant.c if s.measurement_matrix is None else linalg.as_matrix(
-        s.measurement_matrix, "measurement_matrix"
-    )
-    l = observer_gain(plant.a, c_meas, lqr.closed_loop_spectrum,
+    l = observer_gain(plant.a, plant.c, lqr.closed_loop_spectrum,
                       s.observer_speed_factor)
-    return plant, lqr, l
+    loop = assemble_separation_loop(plant.a, plant.b, plant.c, lqr.k, l)
+    return ScenarioDesign(plant, g, lqr, l, loop)
 
 
 def run_scenario(s: Scenario) -> SimulationRecord:
@@ -313,16 +339,11 @@ def run_scenario(s: Scenario) -> SimulationRecord:
     integrates the linearized model driven by the measured positions, and
     the whole coupled system advances as one ODE.
     """
-    plant, lqr, l_gain = synthesize_for_scenario(s)
-    c_meas = plant.c if s.measurement_matrix is None else linalg.as_matrix(
-        s.measurement_matrix, "measurement_matrix"
-    )
-    if s.disturbance_matrix is None:
-        g = plant.b
-    else:
-        g = linalg.as_matrix(s.disturbance_matrix, "disturbance_matrix")
-        if g.shape != (4, 2):
-            raise DimensionError("disturbance matrix must be 4x2")
+    return _run(s, synthesize_for_scenario(s))
+
+
+def _run(s: Scenario, d: ScenarioDesign) -> SimulationRecord:
+    """run_scenario on the scenario's design `d`."""
     a_srp = srp_accel(s.srp, s.spacecraft, s.constants)
 
     has_observer = s.method in (Method.OBSERVER_ONLY, Method.OBSERVER_LQR)
@@ -355,7 +376,8 @@ def run_scenario(s: Scenario) -> SimulationRecord:
     state, ctrl = _propagate(
         z0, t_out, s.constants.mu, a_srp, _METHOD_ID[s.method],
         1 if s.plant_mode is PlantMode.LINEAR else 0, ref_moving,
-        plant.a, plant.b, c_meas, g, lqr.k, l_gain, noise, s.rtol, s.atol,
+        d.plant.a, d.plant.b, d.plant.c, d.g, d.lqr.k, d.l, noise,
+        s.rtol, s.atol,
     )
 
     true_states = state[:, 0:4].copy()
@@ -425,51 +447,39 @@ def estimation_error_series(rec: SimulationRecord):
 def compare_methods(s: Scenario) -> ComparisonReport:
     """Run all four methods on one scenario and collect metrics, dominant
     closed-loop spectra and stability classes.  A single method's failure is
-    reported in its row rather than aborting the comparison."""
-    plant, lqr, l_gain = synthesize_for_scenario(s)
-    a = plant.a
-    bk = plant.b @ lqr.k
-    lc = l_gain @ plant.c
-    sep = assemble_separation_loop(a, plant.b, plant.c, lqr.k, l_gain)
-
+    reported in its row rather than aborting the comparison.  The methods
+    share one design, synthesized once."""
+    d = synthesize_for_scenario(s)
+    a = d.plant.a
+    closed = a - d.plant.b @ d.lqr.k
+    observer = a - d.l @ d.plant.c
+    sep = d.loop.error_coords
     eig_info = {
         Method.UNCONTROLLED: {"plant": linalg.eigenvalues(a)},
-        Method.LQR: {"closed_loop": linalg.eigenvalues(a - bk)},
-        Method.OBSERVER_ONLY: {
-            "plant": linalg.eigenvalues(a),
-            "observer": linalg.eigenvalues(a - lc),
-        },
-        Method.OBSERVER_LQR: {
-            "separation_loop": linalg.eigenvalues(sep.error_coords)
-        },
+        Method.LQR: {"closed_loop": linalg.eigenvalues(closed)},
+        Method.OBSERVER_ONLY: {"plant": linalg.eigenvalues(a),
+                               "observer": linalg.eigenvalues(observer)},
+        Method.OBSERVER_LQR: {"separation_loop": linalg.eigenvalues(sep)},
     }
-    stab_info = {
-        Method.UNCONTROLLED: stability_class(a).value,
-        Method.LQR: stability_class(a - bk).value,
-        Method.OBSERVER_ONLY: stability_class(a).value,
-        Method.OBSERVER_LQR: stability_class(sep.error_coords).value,
-    }
+    # observer_only applies no control: its row reports the plant's class.
+    stab_info = {method: stability_class(m).value for method, m in (
+        (Method.UNCONTROLLED, a), (Method.LQR, closed),
+        (Method.OBSERVER_ONLY, a), (Method.OBSERVER_LQR, sep))}
 
     reports = []
     records = {}
     for method in Method:
-        scenario = replace(s, method=method)
+        metrics = error = None
         try:
-            rec = run_scenario(scenario)
+            rec = _run(replace(s, method=method), d)
             metrics = compute_metrics(rec, s.xf, s.settle_band)
             records[method.value] = rec
-            reports.append(MethodReport(
-                method=method, metrics=metrics,
-                eigenvalues=eig_info[method], stability=stab_info[method],
-            ))
         except Exception as exc:  # noqa: BLE001 - per-method fault isolation
-            reports.append(MethodReport(
-                method=method, metrics=None,
-                eigenvalues=eig_info[method], stability=stab_info[method],
-                error=str(exc),
-            ))
+            error = str(exc)
+        reports.append(MethodReport(method, metrics, eig_info[method],
+                                    stab_info[method], error))
     return ComparisonReport(scenario=s, reports=reports, records=records,
-                            gain_k=lqr.k, gain_l=l_gain)
+                            gain_k=d.lqr.k, gain_l=d.l)
 
 
 def srp_drift_study(

@@ -81,13 +81,12 @@ class Weights:
 @dataclass(frozen=True)
 class SynthesisResult:
     """Outcome of a synthesis run: Riccati solution p, feedback gain k,
-    optional observer gain l, optional attained H-infinity bound gamma,
-    and the closed-loop spectrum of a - b k."""
+    optional attained H-infinity bound gamma, and the closed-loop spectrum
+    of a - b k."""
 
     p: np.ndarray
     k: np.ndarray
     closed_loop_spectrum: np.ndarray
-    l: np.ndarray | None = None
     gamma: float | None = None
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import orbitloop as ol
 from orbitloop import cli
+from orbitloop.linalg import spectra_close
 
 
 def _write(tmp_path, payload, name="scenario.json"):
@@ -324,6 +325,43 @@ def test_compare_determinism_bytes(tmp_path):
     assert cli.dispatch("compare", path, out2, "csv") == 0
     for child in sorted(out1.iterdir()):
         assert child.read_bytes() == (out2 / child.name).read_bytes()
+
+
+def _spectrum(pairs):
+    return [complex(re, im) for re, im in pairs]
+
+
+def test_scaled_measurement_map_reports_running_observer(tmp_path):
+    # L is placed for the scenario's measurement map, so every reported
+    # observer spectrum is speed_factor times the LQR poles only when it is
+    # computed with that same map, not with the position outputs.
+    path = _write(tmp_path, {"horizon_s": 5.0, "output_dt_s": 0.5,
+                             "measurement_matrix": [[2, 0, 0, 0],
+                                                    [0, 2, 0, 0]]})
+    assert cli.dispatch("synthesize", path, tmp_path / "syn", "csv") == 0
+    syn = json.loads((tmp_path / "syn" / "synthesize.json").read_text())
+    factor = ol.Scenario().observer_speed_factor
+    expected = factor * np.array(_spectrum(syn["closed_loop_eigenvalues"]))
+    assert spectra_close(_spectrum(syn["observer_eigenvalues"]), expected,
+                         tol=1e-9)
+    assert cli.dispatch("compare", path, tmp_path / "cmp", "csv") == 0
+    cmp = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    observer = cmp["methods"]["observer_only"]["eigenvalues"]["observer"]
+    assert spectra_close(_spectrum(observer), expected, tol=1e-9)
+
+
+def test_compare_lambert_failure_writes_only_report(tmp_path):
+    # Every method needs the Lambert reference arc; its failure fills each
+    # row's error and leaves no series to write, but the report is written.
+    x0 = ol.Scenario().x0
+    path = _write(tmp_path, {"horizon_s": 20.0,
+                             "xf": [*x0.position, 0.0, 0.0]})
+    out = tmp_path / "cmp"
+    assert cli.dispatch("compare", path, out, "csv") == 0
+    assert [child.name for child in out.iterdir()] == ["compare.json"]
+    methods = json.loads((out / "compare.json").read_text())["methods"]
+    assert all(m["error"] == "identical transfer endpoints"
+               for m in methods.values())
 
 
 def test_drift_command(tmp_path):

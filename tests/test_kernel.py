@@ -117,14 +117,18 @@ def test_kernel_status_singular_radius():
 def test_nan_error_norm_fails_fast():
     # A NaN tolerance or acceleration makes the error norm, and so the next
     # step size, NaN.  The step-size guards must end the run at once
-    # instead of retrying until the 50,000,000-step budget.  Scenario and
-    # PhysicalConstants refuse NaN, so the kernel is reached through the
-    # plain arguments of propagate_two_body.
-    x0 = ol.Scenario().x0
-    with pytest.raises(ol.NumericalError):
-        ol.propagate_two_body(x0, [0.0, 10.0], rtol=math.nan)
-    with pytest.raises(ol.NumericalError):
-        ol.propagate_two_body(x0, [0.0, 10.0], a_srp=(math.nan, 0.0))
+    # instead of retrying until the 50,000,000-step budget.  Every library
+    # entry point refuses NaN, so the kernel is called directly.
+    z0 = np.zeros(12)
+    z0[0:4] = ol.Scenario().x0.as_vector()
+    b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for rtol, ax in ((math.nan, 0.0), (1e-8, math.nan)):
+        _, _, status = _dopri.propagate_grid(
+            z0, np.array([0.0, 10.0]), ol.PhysicalConstants().mu, ax, 0.0,
+            _dopri.METHOD_UNCONTROLLED, 0, 0, np.zeros((4, 4)), b,
+            np.zeros((2, 4)), b, np.zeros((2, 4)), np.zeros((4, 2)),
+            np.zeros((1, 2)), rtol, 1e-9, 50_000_000)
+        assert status == _dopri.STATUS_STEP_UNDERFLOW
 
 
 def _kernel_calls(monkeypatch, scenario):

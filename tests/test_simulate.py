@@ -135,8 +135,9 @@ def test_linear_closed_loop_matches_transition_matrix():
         rtol=1e-12, atol=1e-12,  # keep truncation below the 1e-8 gate
     )
     rec = ol.run_scenario(s)
-    plant, lqr, _ = ol.synthesize_for_scenario(s)
-    closed = ol.StateSpace(plant.a - plant.b @ lqr.k, plant.b, plant.c)
+    design = ol.synthesize_for_scenario(s)
+    plant, k = design.plant, design.lqr.k
+    closed = ol.StateSpace(plant.a - plant.b @ k, plant.b, plant.c)
     a_srp = ol.srp_accel(s.srp)
     zi = ol.zero_input_response(closed, s.x0.as_vector(), rec.times)
     u = np.tile(a_srp, (rec.times.size, 1))
@@ -338,6 +339,43 @@ def test_run_scenario_rejects_bad_disturbance_matrix():
     with pytest.raises(ol.DimensionError):
         ol.run_scenario(ol.Scenario(horizon=1.0, output_dt=0.5,
                                     disturbance_matrix=np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ol.Scenario(measurement_matrix=np.zeros((3, 4))),
+    lambda: ol.Scenario(disturbance_matrix=np.zeros((2, 4))),
+], ids=["measurement_3x4", "disturbance_2x4"])
+def test_scenario_rejects_misshapen_maps(build):
+    with pytest.raises(ol.DimensionError):
+        build()
+
+
+def test_compare_methods_isolates_lambert_failure():
+    # A transfer back to the start position has no Lambert arc: each method
+    # reports the failure in its own row and the comparison still returns.
+    x0 = ol.Scenario().x0
+    s = ol.Scenario(horizon=20.0, xf=ol.OrbitState(x0.position, (0.0, 0.0)))
+    report = ol.compare_methods(s)
+    assert [r.method for r in report.reports] == list(ol.Method)
+    assert all(r.error == "identical transfer endpoints"
+               for r in report.reports)
+    assert report.records == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], rtol=NAN),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], atol=NAN),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], rtol=0.0),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], atol=-1.0),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], a_srp=(NAN, 0.0)),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], a_srp=(0.0, math.inf)),
+    lambda x0: ol.srp_drift_study(600.0, ol.SpacecraftParams(),
+                                  ol.SrpConfig(), x0, rtol=NAN),
+], ids=["rtol_nan", "atol_nan", "rtol_zero", "atol_negative", "a_srp_nan",
+        "a_srp_inf", "drift_rtol_nan"])
+def test_propagation_rejects_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call(ol.Scenario().x0)
 
 
 def test_grid_refinement_consistency():
