@@ -39,7 +39,6 @@ from .errors import (
 )
 from .linalg import as_matrix, eigenvalues, expm, rank, solve_linear, solve_lyapunov
 from .ltisys import (
-    FrequencyPoint,
     Stability,
     StateSpace,
     controllability_matrix,

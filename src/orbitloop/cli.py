@@ -604,15 +604,13 @@ def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
     }
     settle = _settling_from_step(t, y_c, scenario.settle_band)
     for name, sys_loop in loops.items():
-        points = frequency_response(sys_loop, grid)
+        h = frequency_response(sys_loop, grid)
         head = ["omega_rad_s"]
-        columns = [np.array([pt.omega for pt in points])]
+        columns = [grid]
         for out in range(sys_loop.n_outputs):
             for inp in range(sys_loop.n_inputs):
                 head += [f"re_{out}{inp}", f"im_{out}{inp}"]
-                vals = np.array([pt.response[out, inp] if pt.ok
-                                 else complex("nan") for pt in points])
-                columns += [vals.real, vals.imag]
+                columns += [h[:, out, inp].real, h[:, out, inp].imag]
         _write_columns(outdir / f"frequency_{name}.{fmt}", head, columns, fmt)
     _write_json(outdir / "response.json", {
         "step_settling_time_s": settle,

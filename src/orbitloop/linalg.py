@@ -31,6 +31,9 @@ __all__ = [
     "spectra_close",
 ]
 
+# Beyond this condition number a matrix counts as numerically singular.
+_MAX_COND = 1e13
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries.
@@ -143,8 +146,7 @@ def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b with partial pivoting.
 
     Raises SingularMatrixError when `a` is numerically singular (exact zero
-    pivot, or condition number beyond ~1e13 so the residual contract cannot
-    hold).
+    pivot, or condition number beyond _MAX_COND).
     """
     am = _square(a, "a")
     bm = as_matrix(b, "b")
@@ -156,7 +158,7 @@ def solve_linear(a, b) -> np.ndarray:
         x = np.linalg.solve(am, bm)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
-    if not np.isfinite(x).all() or np.linalg.cond(am) > 1e13:
+    if not np.isfinite(x).all() or np.linalg.cond(am) > _MAX_COND:
         raise SingularMatrixError("coefficient matrix is numerically singular")
     return x
 

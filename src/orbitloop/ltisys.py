@@ -9,7 +9,7 @@ interval through the augmented matrix exponential).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import DimensionError, SingularMatrixError
 
 __all__ = [
     "StateSpace",
-    "FrequencyPoint",
     "Stability",
     "controllability_matrix",
     "observability_matrix",
@@ -91,16 +90,6 @@ class StateSpace:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """Response matrix at one frequency; ok=False marks a point where the
-    resolvent was numerically singular (near an imaginary-axis pole)."""
-
-    omega: float
-    response: np.ndarray = field(repr=False)
-    ok: bool = True
-
-
 class Stability(enum.Enum):
     ASYMPTOTICALLY_STABLE = "asymptotically_stable"
     MARGINALLY_STABLE = "marginally_stable"
@@ -146,47 +135,47 @@ def stability_class(a) -> Stability:
     return Stability.MARGINALLY_STABLE
 
 
+def _resolvent(sys: StateSpace, s: np.ndarray) -> np.ndarray:
+    """H(s) = C (sI - A)^-1 B + D at every point of the 1-D complex array s,
+    as a (k, p, m) array, by batched LAPACK calls.  A point where sI - A is
+    numerically singular (condition number above linalg._MAX_COND, or a
+    non-finite solve) holds NaN."""
+    m = s[:, None, None] * np.eye(sys.n_states) - sys.a
+    h = np.full((s.size, sys.n_outputs, sys.n_inputs), complex(np.nan, np.nan))
+    # Exactly singular matrices fail the cond test and are never solved.
+    idx = np.flatnonzero(np.linalg.cond(m) <= linalg._MAX_COND)
+    x = np.linalg.solve(m[idx], sys.b.astype(complex))
+    finite = np.isfinite(x).all(axis=(1, 2))
+    h[idx[finite]] = sys.c @ x[finite] + sys.d
+    return h
+
+
 def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:
     """H(s) = C (sI - A)^-1 B + D via a complex linear solve.
 
     Raises SingularMatrixError when s is at (or numerically near) an
     eigenvalue of A.
     """
-    n = sys.n_states
-    m = complex(s) * np.eye(n) - sys.a
-    try:
-        x = np.linalg.solve(m, sys.b.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"s={s} is a pole of the system") from exc
-    if not np.isfinite(x).all() or np.linalg.cond(m) > 1e13:
+    h = _resolvent(sys, np.array([complex(s)]))[0]
+    if np.isnan(h).any():
         raise SingularMatrixError(f"resolvent is numerically singular at s={s}")
-    return sys.c @ x + sys.d
+    return h
 
 
 def default_frequency_grid(n_points: int = 400, lo: float = 1e-5, hi: float = 1e1) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), n_points)
 
 
-def frequency_response(sys: StateSpace, omegas) -> list[FrequencyPoint]:
-    """Evaluate H(j*omega) on a strictly increasing positive grid.
-
-    Near-singular points are flagged (ok=False, NaN response) instead of
-    aborting the sweep.
-    """
+def frequency_response(sys: StateSpace, omegas) -> np.ndarray:
+    """H(j*omega) on a strictly increasing positive grid, as a (k, p, m)
+    complex array; near-singular points hold NaN instead of aborting the
+    sweep."""
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DimensionError("omega grid must be a non-empty 1-D array")
     if np.any(w <= 0) or np.any(np.diff(w) <= 0):
         raise ValueError("omega grid must be strictly increasing and positive")
-    points = []
-    for omega in w:
-        try:
-            h = transfer_eval(sys, 1j * omega)
-            points.append(FrequencyPoint(float(omega), h, True))
-        except SingularMatrixError:
-            nan = np.full((sys.n_outputs, sys.n_inputs), np.nan + 1j * np.nan)
-            points.append(FrequencyPoint(float(omega), nan, False))
-    return points
+    return _resolvent(sys, 1j * w)
 
 
 def _check_tgrid(tgrid) -> np.ndarray:

@@ -152,6 +152,9 @@ class Scenario:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        # The kernel's singular-radius guard: it stops any run inside 1 km.
+        if not math.hypot(*self.x0.position) >= 1.0:
+            raise ValueError("x0 must lie at least 1 km from the centre")
         if not 0 < self.output_dt <= self.horizon:
             raise ValueError("output_dt must lie in (0, horizon]")
         check_grid(self.horizon, self.output_dt, "output")
@@ -214,6 +217,9 @@ class Metrics:
     settling_time_s: float | None
 
     def __post_init__(self):
+        for name in ("terminal_error_km", "rms_error_km", "control_energy"):
+            if not math.isfinite(getattr(self, name)):
+                raise NumericalError(f"{name} is not finite")
         if self.terminal_error_km < 0 or self.rms_error_km < 0:
             raise ValueError("position metrics must be non-negative")
         if self.control_energy < 0:

@@ -21,10 +21,11 @@ from .errors import (
     DimensionError,
     GammaRangeError,
     NumericalError,
+    SingularMatrixError,
     SynthesisError,
     UndefinedNormError,
 )
-from .ltisys import StateSpace, Stability, stability_class
+from .ltisys import StateSpace, Stability, frequency_response, stability_class
 
 __all__ = [
     "Weights",
@@ -167,7 +168,10 @@ def _ackermann(a: np.ndarray, b: np.ndarray, poles: np.ndarray) -> np.ndarray:
         raise SynthesisError("pole product is not real; poles not conjugate-closed")
     en = np.zeros(n)
     en[-1] = 1.0
-    return np.linalg.solve(ctrb.T, en) @ pa.real
+    k = np.linalg.solve(ctrb.T, en) @ pa.real
+    if not np.isfinite(k).all():
+        raise SynthesisError("gain is not finite; desired poles too far out")
+    return k
 
 
 def place_poles(a, b, desired) -> np.ndarray:
@@ -396,9 +400,10 @@ def hinf_state_feedback(a, b, g, w: Weights, gamma_range) -> SynthesisResult:
 
 def hinf_norm(sys: StateSpace, grid=None) -> float:
     """Grid lower bound on the H-infinity norm of a stable system: the
-    maximum over the frequency grid of the largest singular value of the
-    response.  Default grid: 2000 log-spaced points spanning six decades
-    around the plant's eigenfrequency scale."""
+    maximum over the frequency grid (checked as in frequency_response) of
+    the largest singular value of the response.  Default grid: 2000
+    log-spaced points spanning six decades around the plant's eigenfrequency
+    scale.  Raises SingularMatrixError at a numerically singular point."""
     if stability_class(sys.a) is not Stability.ASYMPTOTICALLY_STABLE:
         raise UndefinedNormError("H-infinity norm is undefined for unstable systems")
     if grid is None:
@@ -406,12 +411,10 @@ def hinf_norm(sys: StateSpace, grid=None) -> float:
         mags = np.abs(lam)
         center = float(np.median(mags[mags > 0])) if np.any(mags > 0) else 1.0
         grid = np.logspace(np.log10(center) - 3, np.log10(center) + 3, 2000)
-    peak = 0.0
-    eye = np.eye(sys.n_states)
-    for omega in np.asarray(grid, dtype=float):
-        h = sys.c @ np.linalg.solve(1j * omega * eye - sys.a, sys.b) + sys.d
-        peak = max(peak, float(np.linalg.svd(h, compute_uv=False)[0]))
-    return peak
+    h = frequency_response(sys, grid)
+    if np.isnan(h).any():
+        raise SingularMatrixError("resolvent is numerically singular on the grid")
+    return float(np.linalg.svd(h, compute_uv=False)[:, 0].max())
 
 
 def sqrtm_psd(m) -> np.ndarray:

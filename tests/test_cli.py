@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,8 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     ("simulate", "noise_seed=-1"),
     ("simulate", "noise_seed=1.7"),
     ("simulate", "rtol=NaN"),
+    # Inside the kernel's 1 km singular-radius guard.
+    ("analyze", "x0=[0,0,0,0]"),
     # JSON strings and booleans are not numbers.
     ("analyze", 'horizon_s="400"'),
     ("analyze", "rtol=true"),
@@ -169,6 +172,26 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     path = _write(tmp_path, {})
     code = cli.dispatch(command, path, tmp_path / "out", "csv", [override])
     _assert_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param("srp.magnitude_km_s2=1e300", id="non_finite_metrics"),
+    pytest.param("observer_speed_factor=1e300", id="non_finite_observer_gain"),
+])
+def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, override):
+    # Overflow is a numerical failure: exit 1 with a package error, and no
+    # report holding Infinity or a raw Python exception.
+    path = _write(tmp_path, {"horizon_s": 20.0})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():  # overflow and speed-band warnings
+        warnings.simplefilter("ignore")
+        code = cli.dispatch("simulate", path, out, "csv", [override])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = getattr(ol.errors, json.loads(err[0])["error"], None)
+    assert isinstance(error, type) and issubclass(error, ol.OrbitloopError)
+    assert not (out / "metrics.json").exists()
 
 
 def test_dispatch_non_object_root_with_override_exit_2(tmp_path, capsys):

@@ -94,8 +94,7 @@ def test_transfer_near_pole_raises():
 def test_frequency_response_first_order():
     sys = ol.StateSpace(np.array([[-1.0]]), np.array([[1.0]]),
                         np.array([[1.0]]))
-    pts = ol.frequency_response(sys, np.array([1.0]))
-    h = pts[0].response[0, 0]
+    h = ol.frequency_response(sys, np.array([1.0]))[0, 0, 0]
     assert abs(abs(h) - 1.0 / np.sqrt(2.0)) < 1e-12
     assert abs(np.degrees(np.angle(h)) + 45.0) < 1e-9
 
@@ -111,9 +110,26 @@ def test_frequency_response_flags_singular_points():
     # Undamped oscillator: pole exactly at s = j.
     sys = ol.StateSpace(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                         np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
-    pts = ol.frequency_response(sys, np.array([0.5, 1.0, 2.0]))
-    assert pts[0].ok and pts[2].ok
-    assert not pts[1].ok
+    w = np.array([0.5, 1.0, 2.0])
+    h = ol.frequency_response(sys, w)
+    assert np.isnan(h[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(h[i], ol.transfer_eval(sys, 1j * w[i]))
+
+
+def test_frequency_response_matches_per_point_solve():
+    # The batched resolvent gives the bits of the per-point loop it
+    # replaced: one complex solve per frequency, then C x + D.
+    d = ol.synthesize_for_scenario(ol.Scenario())
+    grid = ol.default_frequency_grid()
+    for sys in (ol.lqr_loop_transfer(d.plant, d.lqr.k),
+                ol.observer_compensator(d.plant, d.lqr.k, d.l)):
+        eye = np.eye(sys.n_states)
+        ref = np.array([
+            sys.c @ np.linalg.solve(1j * w * eye - sys.a,
+                                    sys.b.astype(complex)) + sys.d
+            for w in grid])
+        assert np.array_equal(ol.frequency_response(sys, grid), ref)
 
 
 def test_frequency_grid_validation():
