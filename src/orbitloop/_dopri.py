@@ -6,9 +6,10 @@ honoring rtol/atol and landing exactly on every grid time (so piecewise-
 constant measurement noise never straddles a sample interval).
 
 The kernel is written once, indexing its 2-D inputs as x[i][j], and
-`propagate_grid` picks its containers: ndarrays on the numba path, plain
-Python floats and lists on the Python path.  Either way the kernel fills
-preallocated ndarray outputs and allocates nothing itself.
+`propagate_grid`, its only wrapper, picks its containers: ndarrays on the
+numba path, plain Python floats and lists on the Python path.  Either way
+the kernel fills preallocated ndarray outputs and allocates nothing itself,
+and `propagate_grid` raises NumericalError for any status but STATUS_OK.
 
 The backend is chosen once, at import, by three cases:
 
@@ -35,6 +36,8 @@ import math
 import os
 
 import numpy as np
+
+from .errors import NumericalError
 
 _flag = os.environ.get("ORBITLOOP_NO_NUMBA", "").strip().lower()
 _DISABLED = _flag not in ("", "0", "false", "no")
@@ -68,6 +71,15 @@ STATUS_SINGULAR_RADIUS = 1
 STATUS_STEP_UNDERFLOW = 2
 STATUS_NOT_FINITE = 3
 STATUS_STEP_BUDGET = 4
+
+_STATUS_MESSAGES = {
+    STATUS_SINGULAR_RADIUS: "trajectory radius fell below 1 km",
+    STATUS_STEP_UNDERFLOW: "integrator step size underflowed",
+    STATUS_NOT_FINITE: "integrator produced a non-finite state",
+    STATUS_STEP_BUDGET: "integrator exceeded its step budget",
+}
+
+_MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 
 def _control_impl(z, k, method, ux_uy):
@@ -340,24 +352,28 @@ _propagate_impl = _jit(_propagate_impl)
 
 
 def propagate_grid(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-                   am, b, cm, g, k, l, noise, rtol, atol, max_steps):
+                   am, b, cm, g, k, l, noise, rtol, atol):
     """Propagate z0 across the output grid t_out; returns the (n, 12)
-    state and (n, 2) control series and a STATUS_* code.
+    state and (n, 2) control series, or raises NumericalError with the
+    kernel's status when the run does not end with STATUS_OK.
 
-    The compiled kernel takes the ndarray inputs as they are.  The Python
+    The compiled kernel takes contiguous float ndarrays.  The Python
     kernel takes them as nested lists: an element of a list is a plain
     float, while an element of an ndarray reads back as a numpy scalar,
     whose arithmetic is several times slower."""
-    n_out = t_out.shape[0]
-    out_state = np.empty((n_out, 12))
-    out_ctrl = np.empty((n_out, 2))
+    out_state = np.empty((len(t_out), 12))
+    out_ctrl = np.empty((len(t_out), 2))
+    arrays = [np.ascontiguousarray(a, float)
+              for a in (z0, t_out, am, b, cm, g, k, l, noise)]
     work = np.zeros((11, 12))
-    arrays = (z0, t_out, am, b, cm, g, k, l, noise)
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
     z0, t_out, am, b, cm, g, k, l, noise = arrays
-    status = _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear,
-                             ref_moving, am, b, cm, g, k, l, noise, rtol, atol,
-                             max_steps, work, out_state, out_ctrl)
-    return out_state, out_ctrl, status
+    status = _propagate_impl(z0, t_out, float(mu), float(ax), float(ay),
+                             method, plant_linear, ref_moving, am, b, cm, g,
+                             k, l, noise, float(rtol), float(atol), _MAX_STEPS,
+                             work, out_state, out_ctrl)
+    if status != STATUS_OK:
+        raise NumericalError(_STATUS_MESSAGES[status])
+    return out_state, out_ctrl

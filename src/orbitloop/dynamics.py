@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateGeometryError,
     InfeasibleTransferError,
+    NumericalError,
     SolverError,
 )
 from .ltisys import StateSpace
@@ -214,7 +215,11 @@ def linearize_plant(
         raise ValueError("linearization radius must be positive")
     if sign not in (1.0, -1.0, 1, -1):
         raise ValueError("sign must be +1 or -1")
-    w2 = sign * constants.mu / r0**3
+    try:
+        w2 = sign * constants.mu / r0**3
+    except OverflowError:
+        raise NumericalError(
+            f"r0**3 overflows at linearization radius {r0:g} km") from None
     a = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -383,12 +388,13 @@ def lambert_solve(
     a_geom = math.sin(dnu) * math.sqrt(r1n * r2n / (1.0 - math.cos(dnu)))
 
     def flight_time(z):
-        # Returns (None, None) where y < 0, i.e. below the admissible domain
-        # whose boundary y = 0 carries flight time 0.
+        # Returns (None, None) where y <= 0, i.e. on or below the boundary
+        # y = 0 of the admissible domain, where the flight time is 0 and the
+        # Newton step would divide by chi = 0.
         try:
             c, s = _stumpff_c(z), _stumpff_s(z)
             y = r1n + r2n + a_geom * (z * s - 1.0) / math.sqrt(c)
-            if y < 0:
+            if y <= 0:
                 return None, None
             chi = math.sqrt(y / c)
             return (chi**3 * s + a_geom * math.sqrt(y)) / math.sqrt(mu), y

@@ -2,8 +2,8 @@
 
 Kalman rank-test matrices, spectral stability classification, resolvent
 evaluation, frequency response, and the zero-input / zero-state decomposition
-of the forced linear response (computed exactly per piecewise-constant input
-interval through the augmented matrix exponential).
+of the forced linear response (one zero-order-hold recursion, exact per
+piecewise-constant input interval through the augmented matrix exponential).
 """
 
 from __future__ import annotations
@@ -96,26 +96,25 @@ class Stability(enum.Enum):
     UNSTABLE = "unstable"
 
 
+def _krylov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block Krylov matrix [b, a b, ..., a^(n-1) b] of shape n x (n*m)."""
+    n, m = b.shape
+    blocks = np.empty((n, n * m))
+    for i in range(n):
+        blocks[:, i * m : (i + 1) * m] = b
+        b = a @ b
+    return blocks
+
+
 def controllability_matrix(sys: StateSpace) -> np.ndarray:
     """Kalman block matrix [B, AB, ..., A^(n-1)B] of shape n x (n*m)."""
-    n, m = sys.n_states, sys.n_inputs
-    blocks = np.empty((n, n * m))
-    ab = sys.b.copy()
-    for i in range(n):
-        blocks[:, i * m : (i + 1) * m] = ab
-        ab = sys.a @ ab
-    return blocks
+    return _krylov(sys.a, sys.b)
 
 
 def observability_matrix(sys: StateSpace) -> np.ndarray:
-    """Stacked matrix [C; CA; ...; CA^(n-1)] of shape (n*p) x n."""
-    n, p = sys.n_states, sys.n_outputs
-    blocks = np.empty((n * p, n))
-    ca = sys.c.copy()
-    for i in range(n):
-        blocks[i * p : (i + 1) * p, :] = ca
-        ca = ca @ sys.a
-    return blocks
+    """Stacked matrix [C; CA; ...; CA^(n-1)] of shape (n*p) x n: the dual
+    system's controllability matrix, transposed."""
+    return _krylov(sys.a.T, sys.c.T).T
 
 
 def stability_class(a) -> Stability:
@@ -187,28 +186,19 @@ def _check_tgrid(tgrid) -> np.ndarray:
     return t
 
 
-def zero_input_response(sys: StateSpace, x0, tgrid) -> np.ndarray:
-    """x(t) = expm(A (t - t0)) x0 sampled on tgrid (shape len(t) x n).
-
-    Uniform grids reuse a single per-step transition matrix, which keeps the
-    response exactly consistent with the zero-state recursion.
-    """
-    t = _check_tgrid(tgrid)
-    x0v = np.asarray(x0, dtype=float).reshape(-1)
-    if x0v.size != sys.n_states:
-        raise DimensionError("x0 has wrong length")
-    out = np.empty((t.size, sys.n_states))
-    out[0] = x0v
-    if t.size == 1:
-        return out
+def _zoh_response(a: np.ndarray, b: np.ndarray, x0, u: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """States of x_{k+1} = Ad x_k + Bd u_k from x0 on the grid t, with
+    (Ad, Bd) the zero-order-hold pair of each interval: one pair when the
+    grid is uniform, one per interval otherwise."""
+    out = np.empty((t.size, a.shape[0]))
+    out[0] = x0
     dts = np.diff(t)
-    if np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
-        phi = linalg.expm(sys.a, float(dts[0]))
-        for k in range(1, t.size):
-            out[k] = phi @ out[k - 1]
-    else:
-        for k in range(1, t.size):
-            out[k] = linalg.expm(sys.a, float(t[k] - t[0])) @ x0v
+    uniform = np.allclose(dts, dts[:1], rtol=1e-12, atol=0.0)
+    for k in range(1, t.size):
+        if k == 1 or not uniform:
+            ad, bd = _discretize(a, b, float(dts[k - 1]))
+        out[k] = ad @ out[k - 1] + bd @ u[k - 1]
     return out
 
 
@@ -221,6 +211,17 @@ def _discretize(a: np.ndarray, b: np.ndarray, dt: float):
     aug[:n, n:] = b
     phi = linalg.expm(aug, dt)
     return phi[:n, :n], phi[:n, n:]
+
+
+def zero_input_response(sys: StateSpace, x0, tgrid) -> np.ndarray:
+    """x(t) = expm(A (t - t0)) x0 sampled on tgrid (shape len(t) x n), by
+    the zero-order-hold recursion of zero_state_response with no input."""
+    t = _check_tgrid(tgrid)
+    x0v = np.asarray(x0, dtype=float).reshape(-1)
+    if x0v.size != sys.n_states:
+        raise DimensionError("x0 has wrong length")
+    return _zoh_response(sys.a, np.zeros((x0v.size, 0)), x0v,
+                         np.zeros((t.size, 0)), t)
 
 
 def zero_state_response(sys: StateSpace, u, tgrid) -> np.ndarray:
@@ -236,18 +237,7 @@ def zero_state_response(sys: StateSpace, u, tgrid) -> np.ndarray:
         um = um.reshape(-1, 1)
     if um.shape[0] != t.size or um.shape[1] != sys.n_inputs:
         raise DimensionError(f"u must be {t.size}x{sys.n_inputs}")
-    out = np.zeros((t.size, sys.n_states))
-    if t.size == 1:
-        return out
-    dts = np.diff(t)
-    uniform = np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)
-    if uniform:
-        ad, bd = _discretize(sys.a, sys.b, float(dts[0]))
-    for k in range(1, t.size):
-        if not uniform:
-            ad, bd = _discretize(sys.a, sys.b, float(dts[k - 1]))
-        out[k] = ad @ out[k - 1] + bd @ um[k - 1]
-    return out
+    return _zoh_response(sys.a, sys.b, 0.0, um, t)
 
 
 def step_response(sys: StateSpace, horizon: float, dt: float):

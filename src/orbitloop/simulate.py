@@ -90,13 +90,6 @@ _METHOD_ID = {
     Method.OBSERVER_LQR: _dopri.METHOD_OBSERVER_LQR,
 }
 
-_STATUS_MESSAGES = {
-    _dopri.STATUS_SINGULAR_RADIUS: "trajectory radius fell below 1 km",
-    _dopri.STATUS_STEP_UNDERFLOW: "integrator step size underflowed",
-    _dopri.STATUS_NOT_FINITE: "integrator produced a non-finite state",
-    _dopri.STATUS_STEP_BUDGET: "integrator exceeded its step budget",
-}
-
 # Fixed baseline values included in comparison reports so computed results
 # can be read side by side with the original analysis; they depend on design
 # parameters that were never published and are not reproduced or asserted.
@@ -253,22 +246,6 @@ class DriftStudy:
     relative_error: np.ndarray
 
 
-def _propagate(z0, t_out, mu, a_srp, method_id, plant_linear, ref_moving,
-               am, b, cm, g, k, l, noise, rtol, atol):
-    """The kernel's run on contiguous float arrays; a run that does not end
-    with STATUS_OK raises NumericalError."""
-    z0, t_out, am, b, cm, g, k, l, noise = (
-        np.ascontiguousarray(x, dtype=float)
-        for x in (z0, t_out, am, b, cm, g, k, l, noise))
-    state, ctrl, status = _dopri.propagate_grid(
-        z0, t_out, float(mu), float(a_srp[0]), float(a_srp[1]), method_id,
-        plant_linear, ref_moving, am, b, cm, g, k, l, noise, float(rtol),
-        float(atol), 50_000_000)
-    if status != _dopri.STATUS_OK:
-        raise NumericalError(_STATUS_MESSAGES.get(status, f"status {status}"))
-    return state, ctrl
-
-
 def propagate_two_body(
     state0: OrbitState,
     tgrid,
@@ -290,10 +267,10 @@ def propagate_two_body(
     zeros24 = np.zeros((2, 4))
     b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     noise = np.zeros((max(t.size - 1, 1), 2))
-    state, _ = _propagate(
-        z0, t, constants.mu, a_srp, _dopri.METHOD_UNCONTROLLED, 0, 0,
-        np.zeros((4, 4)), b, zeros24, b, zeros24, zeros42, noise, rtol, atol,
-    )
+    state, _ = _dopri.propagate_grid(
+        z0, t, constants.mu, a_srp[0], a_srp[1], _dopri.METHOD_UNCONTROLLED,
+        0, 0, np.zeros((4, 4)), b, zeros24, b, zeros24, zeros42, noise, rtol,
+        atol)
     return state[:, 0:4]
 
 
@@ -379,8 +356,8 @@ def _run(s: Scenario, d: ScenarioDesign) -> SimulationRecord:
     else:
         noise = np.zeros((t_out.size - 1, 2))
 
-    state, ctrl = _propagate(
-        z0, t_out, s.constants.mu, a_srp, _METHOD_ID[s.method],
+    state, ctrl = _dopri.propagate_grid(
+        z0, t_out, s.constants.mu, a_srp[0], a_srp[1], _METHOD_ID[s.method],
         1 if s.plant_mode is PlantMode.LINEAR else 0, ref_moving,
         d.plant.a, d.plant.b, d.plant.c, d.g, d.lqr.k, d.l, noise,
         s.rtol, s.atol,

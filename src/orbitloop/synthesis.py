@@ -25,7 +25,8 @@ from .errors import (
     SynthesisError,
     UndefinedNormError,
 )
-from .ltisys import StateSpace, Stability, frequency_response, stability_class
+from .ltisys import (StateSpace, Stability, _krylov, frequency_response,
+                     stability_class)
 
 __all__ = [
     "Weights",
@@ -153,11 +154,7 @@ def _split_conjugate_groups(units, sizes: list[int]) -> list[np.ndarray]:
 def _ackermann(a: np.ndarray, b: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Single-input Ackermann gain for the (sub)system (a, b)."""
     n = a.shape[0]
-    ctrb = np.empty((n, n))
-    col = b.reshape(-1)
-    for i in range(n):
-        ctrb[:, i] = col
-        col = a @ col
+    ctrb = _krylov(a, b.reshape(-1, 1))
     s = np.linalg.svd(ctrb, compute_uv=False)
     if s[-1] <= n * np.finfo(float).eps * s[0] * 1e3:
         raise SynthesisError("channel is uncontrollable")
@@ -243,7 +240,7 @@ def observer_gain(a, c, base_poles, speed_factor: float = 4.0) -> np.ndarray:
     try:
         kt = place_poles(am.T, cm.T, poles)
     except SynthesisError as exc:
-        raise SynthesisError(f"pair (a, c) is not observable: {exc}") from exc
+        raise SynthesisError(f"observer placement failed: {exc}") from exc
     l = kt.T
     if not _is_hurwitz(am - l @ cm):
         raise SynthesisError("observer placement failed to stabilize a - L c")

@@ -174,11 +174,19 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     _assert_input_error(code, capsys)
 
 
-@pytest.mark.parametrize("override", [
-    pytest.param("srp.magnitude_km_s2=1e300", id="non_finite_metrics"),
-    pytest.param("observer_speed_factor=1e300", id="non_finite_observer_gain"),
+@pytest.mark.parametrize("override, message", [
+    pytest.param("srp.magnitude_km_s2=1e300", None, id="non_finite_metrics"),
+    pytest.param("observer_speed_factor=1e300",
+                 "observer placement failed: gain is not finite",
+                 id="non_finite_observer_gain"),
+    # y = 0 exactly in the Lambert iteration, whose Newton step divided by
+    # chi = 0 (ZeroDivisionError).
+    pytest.param("mu_km3_s2=1e-300", None, id="lambert_zero_y"),
+    # r0**3 of the linearization radius (OverflowError).
+    pytest.param("x0=[1e300,0,0,0]", None, id="linearization_overflow"),
 ])
-def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, override):
+def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, override,
+                                                 message):
     # Overflow is a numerical failure: exit 1 with a package error, and no
     # report holding Infinity or a raw Python exception.
     path = _write(tmp_path, {"horizon_s": 20.0})
@@ -189,8 +197,10 @@ def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, override):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    error = getattr(ol.errors, json.loads(err[0])["error"], None)
+    diagnostic = json.loads(err[0])
+    error = getattr(ol.errors, diagnostic["error"], None)
     assert isinstance(error, type) and issubclass(error, ol.OrbitloopError)
+    assert message is None or diagnostic["message"].startswith(message)
     assert not (out / "metrics.json").exists()
 
 

@@ -162,6 +162,21 @@ def test_zero_input_unstable_mode_growth(plant):
     assert x[-1, 0] > x[0, 0]
 
 
+def test_zero_input_nonuniform_grid(plant):
+    # A non-uniform grid takes one transition matrix per interval, and the
+    # product of those must still be expm(A (t_k - t0)) x0.
+    from scipy.linalg import expm
+
+    t = np.array([0.0, 0.5, 1.5, 4.0, 100.0])
+    scalar = ol.StateSpace(np.array([[-1.0]]), np.array([[1.0]]),
+                           np.array([[1.0]]))
+    for sys, x0 in ((scalar, [1.0]), (plant, [1.0, -2.0, 0.5, 0.3])):
+        x = ol.zero_input_response(sys, x0, t)
+        ref = np.array([expm(sys.a * (tk - t[0])) @ x0 for tk in t])
+        err = np.linalg.norm(x - ref, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+
 def test_zero_state_pure_integrator():
     sys = ol.StateSpace(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     t = np.linspace(0.0, 4.0, 41)
