@@ -37,7 +37,7 @@ from .errors import (
     SynthesisError,
     UndefinedNormError,
 )
-from .linalg import as_matrix, eigenvalues, expm, rank, solve_linear, solve_lyapunov
+from .linalg import as_matrix, eigenvalues, expm, rank, solve_lyapunov
 from .ltisys import (
     Stability,
     StateSpace,

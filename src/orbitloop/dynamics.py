@@ -375,9 +375,12 @@ def lambert_solve(
     if direction not in ("prograde", "retrograde"):
         raise ValueError("direction must be 'prograde' or 'retrograde'")
     r1n, r2n = float(np.linalg.norm(r1v)), float(np.linalg.norm(r2v))
+    gap = float(np.linalg.norm(r1v - r2v))
+    if not (math.isfinite(r1n) and math.isfinite(r2n) and math.isfinite(gap)):
+        raise NumericalError("transfer endpoint radius or separation overflowed")
     if r1n == 0 or r2n == 0:
         raise DegenerateGeometryError("endpoint at the attractor center")
-    if np.linalg.norm(r1v - r2v) <= 1e-9 * max(r1n, r2n):
+    if gap <= 1e-9 * max(r1n, r2n):
         raise DegenerateGeometryError("identical transfer endpoints")
     mu = constants.mu
 

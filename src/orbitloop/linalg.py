@@ -2,21 +2,20 @@
 
 Factorizations are delegated to LAPACK through numpy/scipy (eigenvalues via
 Hessenberg reduction + shifted QR, rank via SVD, expm via scaling-and-squaring
-with a Pade kernel, the Lyapunov solve via Bartels-Stewart).  All entry
-points validate that inputs are finite real matrices so NaN/Inf never
-propagate silently.
+with a Pade kernel, the Lyapunov solve via Bartels-Stewart).  scipy is
+imported only when expm or solve_lyapunov runs, so of the CLI commands only
+`response` loads it.  All entry points validate that inputs are finite real
+matrices so NaN/Inf never propagate silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
     NoUniqueSolutionError,
     NumericalError,
-    SingularMatrixError,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "conjugate_groups",
     "eigenvalues",
     "rank",
-    "solve_linear",
     "expm",
     "solve_lyapunov",
     "sorted_spectrum",
@@ -142,27 +140,6 @@ def rank(m, tol: float | None = None) -> int:
     return int(np.sum(s > tol))
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve a x = b with partial pivoting.
-
-    Raises SingularMatrixError when `a` is numerically singular (exact zero
-    pivot, or condition number beyond _MAX_COND).
-    """
-    am = _square(a, "a")
-    bm = as_matrix(b, "b")
-    if bm.shape[0] != am.shape[0]:
-        raise DimensionError(
-            f"rhs has {bm.shape[0]} rows, expected {am.shape[0]}"
-        )
-    try:
-        x = np.linalg.solve(am, bm)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
-    if not np.isfinite(x).all() or np.linalg.cond(am) > _MAX_COND:
-        raise SingularMatrixError("coefficient matrix is numerically singular")
-    return x
-
-
 def expm(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential of m*t (scaling-and-squaring, Pade kernel).
 
@@ -171,6 +148,8 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     a = _square(m)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore"):
         phi = scipy.linalg.expm(a * t)
     if not np.isfinite(phi).all():
@@ -199,5 +178,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
             "eigenvalue pair of `a` sums to zero; Lyapunov equation has no "
             "unique solution"
         )
+    import scipy.linalg
+
     p = scipy.linalg.solve_continuous_lyapunov(am.T, -qm)
     return 0.5 * (p + p.T)

@@ -174,26 +174,33 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     _assert_input_error(code, capsys)
 
 
-@pytest.mark.parametrize("override, message", [
-    pytest.param("srp.magnitude_km_s2=1e300", None, id="non_finite_metrics"),
-    pytest.param("observer_speed_factor=1e300",
+@pytest.mark.parametrize("command, override, message", [
+    pytest.param("simulate", "srp.magnitude_km_s2=1e300", None,
+                 id="non_finite_metrics"),
+    pytest.param("simulate", "observer_speed_factor=1e300",
                  "observer placement failed: gain is not finite",
                  id="non_finite_observer_gain"),
     # y = 0 exactly in the Lambert iteration, whose Newton step divided by
     # chi = 0 (ZeroDivisionError).
-    pytest.param("mu_km3_s2=1e-300", None, id="lambert_zero_y"),
+    pytest.param("simulate", "mu_km3_s2=1e-300", None, id="lambert_zero_y"),
     # r0**3 of the linearization radius (OverflowError).
-    pytest.param("x0=[1e300,0,0,0]", None, id="linearization_overflow"),
+    pytest.param("simulate", "x0=[1e300,0,0,0]", None,
+                 id="linearization_overflow"),
+    # The endpoint norm overflows to inf, and inf <= 1e-9 * inf read as
+    # identical endpoints.
+    pytest.param("lambert", "x0=[1e300,0,0,0]",
+                 "transfer endpoint radius or separation overflowed",
+                 id="lambert_endpoint_overflow"),
 ])
-def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, override,
-                                                 message):
+def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, command,
+                                                 override, message):
     # Overflow is a numerical failure: exit 1 with a package error, and no
     # report holding Infinity or a raw Python exception.
     path = _write(tmp_path, {"horizon_s": 20.0})
     out = tmp_path / "out"
     with warnings.catch_warnings():  # overflow and speed-band warnings
         warnings.simplefilter("ignore")
-        code = cli.dispatch("simulate", path, out, "csv", [override])
+        code = cli.dispatch(command, path, out, "csv", [override])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

@@ -194,3 +194,44 @@ def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
     assert status_a == status_l == expected
     assert np.array_equal(state_a, state_l)
     assert np.array_equal(ctrl_a, ctrl_l)
+
+
+def _assert_same_derivative(got, want):
+    # The velocities are copied, so they match exactly.  The kernel takes the
+    # radius as (p*p + q*q) ** 0.5 where the oracle takes math.hypot; the two
+    # can differ by an ulp, which cubing and dividing grow to a few ulps of
+    # the acceleration (1.06e-15 relative at most over 50000 seeded states).
+    assert np.array_equal(got[0:2], want[0:2])
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(got[2:4] - want[2:4]) \
+        <= 8 * eps * np.linalg.norm(want[2:4])
+
+
+def test_rhs_matches_numpy_derivative():
+    # dynamics.two_body_srp_derivative is the oracle for the kernel's
+    # right-hand side: the uncontrolled nonlinear plant block is gravity
+    # plus SRP through the disturbance map G, and the moving reference block
+    # is gravity alone.
+    rng = np.random.default_rng(11)
+    constants = ol.PhysicalConstants()
+    g = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    zeros = np.zeros((4, 4))
+    for _ in range(2000):
+        radius = rng.uniform(6500.0, 50000.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        state = ol.OrbitState(
+            (radius * math.cos(angle), radius * math.sin(angle)),
+            tuple(rng.uniform(-10.0, 10.0, 2)))
+        ax, ay = (float(a) for a in rng.uniform(-1e-6, 1e-6, 2))
+        z = np.zeros(12)
+        z[0:4] = state.as_vector()
+        z[8:12] = state.as_vector()
+        dz = np.zeros(12)
+        status = _dopri._rhs_impl(
+            z, dz, constants.mu, ax, ay, _dopri.METHOD_UNCONTROLLED, 0, 1,
+            zeros, g, zeros[:2], g, zeros[:2], zeros[:, :2], 0.0, 0.0,
+            np.zeros(2))
+        assert status == _dopri.STATUS_OK
+        _assert_same_derivative(
+            dz[0:4], ol.two_body_srp_derivative(state, a_srp=(ax, ay)))
+        _assert_same_derivative(dz[8:12], ol.two_body_srp_derivative(state))

@@ -77,26 +77,6 @@ def test_rank_invariances():
     assert ol.rank(t @ m) == r
 
 
-def test_solve_linear_identity_and_diagonal():
-    b = np.array([[1.0], [2.0], [3.0]])
-    assert np.allclose(ol.solve_linear(np.eye(3), b), b)
-    x = ol.solve_linear(np.diag([2.0, 4.0]), np.array([[1.0], [1.0]]))
-    assert np.allclose(x, [[0.5], [0.25]])
-
-
-def test_solve_linear_singular():
-    with pytest.raises(ol.SingularMatrixError):
-        ol.solve_linear(np.ones((2, 2)), np.array([[1.0], [0.0]]))
-
-
-def test_solve_linear_residual():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    b = rng.standard_normal((6, 2))
-    x = ol.solve_linear(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
 def test_expm_zero_time_and_diagonal():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((4, 4))
