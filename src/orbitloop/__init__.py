@@ -15,7 +15,6 @@ from .dynamics import (
     SOLAR_CONSTANT_W_M2,
     SpacecraftParams,
     SrpConfig,
-    lambert_initial_velocity,
     lambert_solve,
     linearize_plant,
     srp_accel,

@@ -27,6 +27,7 @@ from .dynamics import (
     SpacecraftParams,
     SrpConfig,
     lambert_solve,
+    srp_accel,
 )
 from .errors import GammaRangeError, ScenarioError, SynthesisError
 from .linalg import eigenvalues, rank
@@ -83,6 +84,11 @@ class DriftSettings:
 
     def __post_init__(self):
         check_grid(self.duration_s, self.output_dt_s, "drift")
+        if not 0.0 <= self.theta0_rad <= math.pi / 2:
+            raise ValueError("drift theta0_rad must lie in [0, pi/2]")
+        if self.srp_magnitude_km_s2 is not None \
+                and not self.srp_magnitude_km_s2 >= 0:
+            raise ValueError("drift srp_magnitude_km_s2 must be non-negative")
 
 
 @dataclass
@@ -97,6 +103,14 @@ class ResponseSettings:
         check_grid(self.step_horizon_s, self.step_dt_s, "response step")
         if not 1 <= self.freq_points <= MAX_GRID_STEPS:
             raise ValueError(f"freq_points must lie in [1, {MAX_GRID_STEPS}]")
+        if not (self.freq_lo_rad_s > 0 and self.freq_hi_rad_s > 0):
+            raise ValueError("response frequencies must be positive")
+        # frequency_response's rule, checked before any output is written.
+        grid = default_frequency_grid(self.freq_points, self.freq_lo_rad_s,
+                                      self.freq_hi_rad_s)
+        if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+            raise ValueError("response frequency grid must be positive and "
+                             "strictly increasing")
 
 
 def _fmt(value: float) -> str:
@@ -559,8 +573,7 @@ def _cmd_drift(scenario, drift_cfg, response_cfg, outdir, fmt):
     _write_columns(outdir / f"drift_series.{fmt}",
                    ["t", "deviation_km", "relative_error"],
                    [study.times, study.deviation_km, study.relative_error], fmt)
-    accel = magnitude * math.cos(drift_cfg.theta0_rad) ** 2
-    ballistic = 0.5 * accel * drift_cfg.duration_s**2
+    ballistic = 0.5 * srp_accel(srp)[0] * drift_cfg.duration_s**2
     payload = {
         "duration_s": drift_cfg.duration_s,
         "srp_accel_km_s2": magnitude,

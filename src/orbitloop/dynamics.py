@@ -35,7 +35,6 @@ __all__ = [
     "srp_accel",
     "two_body_srp_derivative",
     "linearize_plant",
-    "lambert_initial_velocity",
     "lambert_solve",
 ]
 
@@ -120,11 +119,6 @@ class OrbitState:
 
     def as_vector(self) -> np.ndarray:
         return np.array([*self.position, *self.velocity])
-
-    @classmethod
-    def from_vector(cls, v) -> "OrbitState":
-        v = np.asarray(v, dtype=float).reshape(4)
-        return cls((v[0], v[1]), (v[2], v[3]))
 
 
 def srp_force(
@@ -231,18 +225,6 @@ def linearize_plant(
     b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     c = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return StateSpace(a, b, c)
-
-
-def lambert_initial_velocity(
-    v0: float, phi0: float, theta0: float
-) -> tuple[float, float]:
-    """Departure velocity components from speed v0, rotation angle phi0 and
-    incidence angle theta0: (v0 cos(pi/2 - phi0 + theta0),
-    v0 sin(pi/2 - phi0 + theta0))."""
-    if v0 < 0:
-        raise ValueError("speed must be non-negative")
-    arg = math.pi / 2 - phi0 + theta0
-    return v0 * math.cos(arg), v0 * math.sin(arg)
 
 
 def _stumpff_c(z: float) -> float:

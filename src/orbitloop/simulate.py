@@ -159,6 +159,13 @@ class Scenario:
             raise ValueError("settle band must lie in (0, 1)")
         if not all(s >= 0 for s in self.measurement_noise_sigma):
             raise ValueError("noise sigma must be non-negative")
+        if not (isinstance(self.noise_seed, (int, np.integer))
+                and self.noise_seed >= 0):
+            raise ValueError("noise seed must be a non-negative integer")
+        if self.xhat0 is not None:
+            xhat0 = np.asarray(self.xhat0, dtype=float)
+            if xhat0.shape != (4,) or not np.isfinite(xhat0).all():
+                raise ValueError("xhat0 must be None or 4 finite numbers")
         if self.linearization_sign not in (1.0, -1.0):
             raise ValueError("linearization sign must be +1 or -1")
         if self.lambert_direction not in ("prograde", "retrograde"):
@@ -171,8 +178,7 @@ class Scenario:
 
     def initial_estimate(self) -> np.ndarray:
         if self.xhat0 is not None:
-            v = np.asarray(self.xhat0, dtype=float).reshape(4)
-            return v
+            return np.asarray(self.xhat0, dtype=float)
         return np.array([*self.x0.position, 0.0, 0.0])
 
     def output_grid(self) -> np.ndarray:
@@ -230,7 +236,6 @@ class MethodReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    scenario: Scenario
     reports: list[MethodReport]
     records: dict[str, SimulationRecord]
     gain_k: np.ndarray
@@ -240,8 +245,6 @@ class ComparisonReport:
 @dataclass(frozen=True)
 class DriftStudy:
     times: np.ndarray
-    perturbed: np.ndarray
-    reference: np.ndarray
     deviation_km: np.ndarray
     relative_error: np.ndarray
 
@@ -314,19 +317,17 @@ def synthesize_for_scenario(s: Scenario) -> ScenarioDesign:
     return ScenarioDesign(plant, g, lqr, l, loop)
 
 
-def run_scenario(s: Scenario) -> SimulationRecord:
+def run_scenario(s: Scenario,
+                 design: ScenarioDesign | None = None) -> SimulationRecord:
     """Propagate one scenario and return the gridded record.
 
     The true dynamics are the nonlinear planar two-body equations with SRP
     (or the linearized model when plant_mode is LINEAR); the observer always
     integrates the linearized model driven by the measured positions, and
-    the whole coupled system advances as one ODE.
+    the whole coupled system advances as one ODE.  `design` is the
+    scenario's design; without one it is synthesized here.
     """
-    return _run(s, synthesize_for_scenario(s))
-
-
-def _run(s: Scenario, d: ScenarioDesign) -> SimulationRecord:
-    """run_scenario on the scenario's design `d`."""
+    d = synthesize_for_scenario(s) if design is None else design
     a_srp = srp_accel(s.srp, s.spacecraft, s.constants)
 
     has_observer = s.method in (Method.OBSERVER_ONLY, Method.OBSERVER_LQR)
@@ -454,14 +455,14 @@ def compare_methods(s: Scenario) -> ComparisonReport:
     for method in Method:
         metrics = error = None
         try:
-            rec = _run(replace(s, method=method), d)
+            rec = run_scenario(replace(s, method=method), d)
             metrics = compute_metrics(rec, s.xf, s.settle_band)
             records[method.value] = rec
         except Exception as exc:  # noqa: BLE001 - per-method fault isolation
             error = str(exc)
         reports.append(MethodReport(method, metrics, eig_info[method],
                                     stab_info[method], error))
-    return ComparisonReport(scenario=s, reports=reports, records=records,
+    return ComparisonReport(reports=reports, records=records,
                             gain_k=d.lqr.k, gain_l=d.l)
 
 
@@ -486,5 +487,5 @@ def srp_drift_study(
     dev = np.hypot(perturbed[:, 0] - reference[:, 0],
                    perturbed[:, 1] - reference[:, 1])
     ref_norm = np.hypot(reference[:, 0], reference[:, 1])
-    return DriftStudy(times=t, perturbed=perturbed, reference=reference,
-                      deviation_km=dev, relative_error=dev / ref_norm)
+    return DriftStudy(times=t, deviation_km=dev,
+                      relative_error=dev / ref_norm)

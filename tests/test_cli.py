@@ -145,6 +145,17 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     ("drift", "drift.output_dt_s=1e-6"),
     ("response", "response.step_dt_s=1e-9"),
     ("response", "response.freq_points=1000001"),
+    # Frequency grids that are not positive and increasing, refused before
+    # step_response.csv is written.
+    ("response", "response.freq_lo_rad_s=0"),
+    ("response", "response.freq_lo_rad_s=-1"),
+    ("response", "response.freq_lo_rad_s=100"),
+    # Below the default 10 rad/s, yet 400 log-spaced points between them
+    # repeat values.
+    ("response", "response.freq_lo_rad_s=9.999999999999998"),
+    # SRP settings that SrpConfig would refuse only inside the command.
+    ("drift", "drift.theta0_rad=5"),
+    ("drift", "drift.srp_magnitude_km_s2=-1"),
     # Malformed sections and values, each refused while parsing.
     ("analyze", "srp=5"),
     ("analyze", "srp=[]"),
@@ -172,6 +183,7 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     path = _write(tmp_path, {})
     code = cli.dispatch(command, path, tmp_path / "out", "csv", [override])
     _assert_input_error(code, capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, override, message", [

@@ -143,15 +143,6 @@ def test_linearize_plant_sign_flip():
         ol.linearize_plant(R0, sign=0.5)
 
 
-def test_lambert_initial_velocity():
-    vx, vy = ol.lambert_initial_velocity(7.8, math.pi / 2, 0.0)
-    assert abs(vx - 7.8) < 1e-15
-    assert abs(vy) < 1e-15
-    assert ol.lambert_initial_velocity(0.0, 1.0, 0.2) == (0.0, 0.0)
-    vx, vy = ol.lambert_initial_velocity(3.0, 0.7, 0.7)
-    assert abs(vx) < 1e-15 and abs(vy - 3.0) < 1e-15
-
-
 def test_lambert_hohmann_half_revolution():
     tof = math.pi * math.sqrt(8500.0**3 / MU)
     v1, v2 = ol.lambert_solve((7000.0, 0.0), (-10000.0, 0.0), tof)

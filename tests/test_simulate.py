@@ -40,6 +40,13 @@ def test_scenario_validation():
         ol.Scenario(rtol=-1.0)
     with pytest.raises(ValueError):
         ol.Scenario(settle_band=1.5)
+    # Refused on construction, not when the run first reads them.
+    with pytest.raises(ValueError):
+        ol.Scenario(xhat0=(4292.87, 8924.17, 7.8))
+    with pytest.raises(ValueError):
+        ol.Scenario(noise_seed=-1)
+    with pytest.raises(ValueError):
+        ol.Scenario(noise_seed=1.5)
 
 
 NAN = math.nan
@@ -51,6 +58,8 @@ NAN = math.nan
     lambda: ol.Scenario(observer_speed_factor=NAN),
     lambda: ol.Scenario(measurement_noise_sigma=(NAN, 0.0)),
     lambda: ol.Scenario(measurement_noise_sigma=(0.0, NAN)),
+    # Used to fail only in the run, as "integrator step size underflowed".
+    lambda: ol.Scenario(xhat0=(NAN, 0.0, 0.0, 0.0)),
     lambda: ol.PhysicalConstants(mu=NAN),
     lambda: ol.PhysicalConstants(c_light=NAN),
     lambda: ol.SpacecraftParams(mass=NAN),
@@ -58,7 +67,7 @@ NAN = math.nan
     lambda: ol.SrpConfig(magnitude_km_s2=NAN),
     lambda: ol.SrpConfig(mode="irradiance", irradiance_w_m2=NAN),
 ], ids=["rtol", "atol", "observer_speed_factor", "noise_sigma_x",
-        "noise_sigma_y", "mu", "c_light", "mass", "area", "srp_magnitude",
+        "noise_sigma_y", "xhat0", "mu", "c_light", "mass", "area", "srp_magnitude",
         "srp_irradiance"])
 def test_dataclasses_reject_nan(build):
     with pytest.raises(ValueError):
@@ -387,12 +396,6 @@ def test_grid_refinement_consistency():
     shift = math.hypot(r1.true_states[-1, 0] - r2.true_states[-1, 0],
                        r1.true_states[-1, 1] - r2.true_states[-1, 1])
     assert shift < 1e-5
-
-
-def test_orbit_state_vector_round_trip():
-    s = ol.Scenario()
-    vec = s.x0.as_vector()
-    assert ol.OrbitState.from_vector(vec) == s.x0
 
 
 def test_drift_study_grid_bound():
