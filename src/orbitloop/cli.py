@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -667,28 +668,33 @@ _COMMANDS = {
 def dispatch(command: str, scenario_path, outdir, fmt: str, overrides=()) -> int:
     """Run one command; returns the process exit code (0 success, 1
     numerical/synthesis failure, 2 input error) and emits a single
-    structured diagnostic line on stderr for every failure."""
-    try:
-        scenario, drift_cfg, response_cfg = _load_settings(scenario_path,
-                                                           overrides)
-        if fmt not in ("csv", "json"):
-            raise ScenarioError(f"unknown format {fmt!r}")
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[command](scenario, drift_cfg, response_cfg, out, fmt)
-    except (ScenarioError, OSError) as exc:
-        _emit_error(exc)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - exit-code contract is total
-        _emit_error(exc)
-        return 1
+    structured diagnostic line on stderr for every failure, which lists the
+    run's warnings; a successful run shows its warnings as usual."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            scenario, drift_cfg, response_cfg = _load_settings(scenario_path,
+                                                               overrides)
+            if fmt not in ("csv", "json"):
+                raise ScenarioError(f"unknown format {fmt!r}")
+            out = Path(outdir)
+            out.mkdir(parents=True, exist_ok=True)
+            code = _COMMANDS[command](scenario, drift_cfg, response_cfg, out,
+                                      fmt)
+        except (ScenarioError, OSError) as exc:
+            return _emit_error(exc, caught, 2)
+        except Exception as exc:  # noqa: BLE001 - exit-code contract is total
+            return _emit_error(exc, caught, 1)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                             w.file, w.line)
+    return code
 
 
-def _emit_error(exc: Exception):
-    diagnostic = json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)}
-    )
-    print(diagnostic, file=sys.stderr)
+def _emit_error(exc: Exception, caught, code: int) -> int:
+    warned = [f"{w.category.__name__}: {w.message}" for w in caught]
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                      "warnings": warned}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,9 @@
 """LTI system representation and analysis.
 
 Kalman rank-test matrices, spectral stability classification, resolvent
-evaluation, frequency response, and the zero-input / zero-state decomposition
-of the forced linear response (one zero-order-hold recursion, exact per
-piecewise-constant input interval through the augmented matrix exponential).
+evaluation, frequency response, step responses and the zero-input /
+zero-state decomposition of the forced linear response, all from one
+zero-order-hold recursion through the augmented matrix exponential.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ def check_grid(span: float, step: float, name: str):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """LTI quadruple (A, B, C, D): n states, m inputs, p outputs."""
+    """LTI triple (A, B, C), y = C x: n states, m inputs, p outputs."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray = None  # defaults to the p x m zero matrix
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a, "a")
@@ -67,13 +66,7 @@ class StateSpace:
             raise DimensionError("b must have one row per state")
         if c.shape[1] != a.shape[0]:
             raise DimensionError("c must have one column per state")
-        d = self.d
-        if d is None:
-            d = np.zeros((c.shape[0], b.shape[1]))
-        d = linalg.as_matrix(d, "d")
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise DimensionError(f"d must be {c.shape[0]}x{b.shape[1]}")
-        for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
+        for name, val in (("a", a), ("b", b), ("c", c)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
@@ -135,7 +128,7 @@ def stability_class(a) -> Stability:
 
 
 def _resolvent(sys: StateSpace, s: np.ndarray) -> np.ndarray:
-    """H(s) = C (sI - A)^-1 B + D at every point of the 1-D complex array s,
+    """H(s) = C (sI - A)^-1 B at every point of the 1-D complex array s,
     as a (k, p, m) array, by batched LAPACK calls.  A point where sI - A is
     numerically singular (condition number above linalg._MAX_COND, or a
     non-finite solve) holds NaN."""
@@ -145,12 +138,12 @@ def _resolvent(sys: StateSpace, s: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(np.linalg.cond(m) <= linalg._MAX_COND)
     x = np.linalg.solve(m[idx], sys.b.astype(complex))
     finite = np.isfinite(x).all(axis=(1, 2))
-    h[idx[finite]] = sys.c @ x[finite] + sys.d
+    h[idx[finite]] = sys.c @ x[finite]
     return h
 
 
 def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:
-    """H(s) = C (sI - A)^-1 B + D via a complex linear solve.
+    """H(s) = C (sI - A)^-1 B via a complex linear solve.
 
     Raises SingularMatrixError when s is at (or numerically near) an
     eigenvalue of A.
@@ -181,17 +174,18 @@ def _check_tgrid(tgrid) -> np.ndarray:
     t = np.asarray(tgrid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise DimensionError("time grid must be a non-empty 1-D array")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    if not np.isfinite(t).all() or np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be finite and strictly increasing")
     return t
 
 
-def _zoh_response(a: np.ndarray, b: np.ndarray, x0, u: np.ndarray,
+def _zoh_response(a: np.ndarray, b: np.ndarray, x0: np.ndarray, u,
                   t: np.ndarray) -> np.ndarray:
     """States of x_{k+1} = Ad x_k + Bd u_k from x0 on the grid t, with
     (Ad, Bd) the zero-order-hold pair of each interval: one pair when the
-    grid is uniform, one per interval otherwise."""
-    out = np.empty((t.size, a.shape[0]))
+    grid is uniform, one per interval otherwise.  x0 is an n-vector, or an
+    n x m matrix whose columns advance together (each u_k then m x m)."""
+    out = np.empty((t.size,) + x0.shape)
     out[0] = x0
     dts = np.diff(t)
     uniform = np.allclose(dts, dts[:1], rtol=1e-12, atol=0.0)
@@ -229,30 +223,25 @@ def zero_state_response(sys: StateSpace, u, tgrid) -> np.ndarray:
 
     u[k] is held constant on [t_k, t_{k+1}); the response is exact per
     interval via the zero-order-hold discretization.  u has shape
-    len(t) x m (the final row is unused) or len(t) for single-input systems.
+    len(t) x m (the final row is unused).
     """
     t = _check_tgrid(tgrid)
     um = np.asarray(u, dtype=float)
-    if um.ndim == 1:
-        um = um.reshape(-1, 1)
-    if um.shape[0] != t.size or um.shape[1] != sys.n_inputs:
+    if um.shape != (t.size, sys.n_inputs):
         raise DimensionError(f"u must be {t.size}x{sys.n_inputs}")
-    return _zoh_response(sys.a, sys.b, 0.0, um, t)
+    return _zoh_response(sys.a, sys.b, np.zeros(sys.n_states), um, t)
 
 
 def step_response(sys: StateSpace, horizon: float, dt: float):
     """Unit-step response per input channel.
 
     Returns (t, y) with y of shape len(t) x p x m: y[:, :, j] is the output
-    trajectory for a unit step applied on input j alone.
+    trajectory for a unit step applied on input j alone.  All m channels are
+    the columns of one n x m state, X_{k+1} = Ad X_k + Bd, from X_0 = 0.
     """
     check_grid(horizon, dt, "step response")
-    n_steps = int(round(horizon / dt))
-    t = np.arange(n_steps + 1) * dt
-    y = np.empty((t.size, sys.n_outputs, sys.n_inputs))
-    for j in range(sys.n_inputs):
-        u = np.zeros((t.size, sys.n_inputs))
-        u[:, j] = 1.0
-        x = zero_state_response(sys, u, t)
-        y[:, :, j] = x @ sys.c.T + u @ sys.d.T
-    return t, y
+    t = np.arange(int(round(horizon / dt)) + 1) * dt
+    m = sys.n_inputs
+    x = _zoh_response(sys.a, sys.b, np.zeros((sys.n_states, m)),
+                      np.broadcast_to(np.eye(m), (t.size, m, m)), t)
+    return t, sys.c @ x

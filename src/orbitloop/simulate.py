@@ -28,7 +28,7 @@ from .dynamics import (
     srp_accel,
 )
 from .errors import DimensionError, NotApplicableError, NumericalError
-from .ltisys import StateSpace, check_grid, stability_class
+from .ltisys import StateSpace, _check_tgrid, check_grid, stability_class
 from .synthesis import (
     SeparationLoop,
     SynthesisResult,
@@ -263,7 +263,7 @@ def propagate_two_body(
         raise ValueError("rtol and atol must be positive")
     if not all(math.isfinite(a) for a in a_srp):
         raise ValueError("SRP acceleration must be finite")
-    t = np.asarray(tgrid, dtype=float)
+    t = _check_tgrid(tgrid)
     z0 = np.zeros(12)
     z0[0:4] = state0.as_vector()
     zeros42 = np.zeros((4, 2))

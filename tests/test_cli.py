@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -221,6 +222,39 @@ def test_dispatch_overflow_exit_1_without_output(tmp_path, capsys, command,
     assert isinstance(error, type) and issubclass(error, ol.OrbitloopError)
     assert message is None or diagnostic["message"].startswith(message)
     assert not (out / "metrics.json").exists()
+
+
+def _run_cli(tmp_path, command, overrides):
+    # A fresh interpreter with no warning filter: pytest's own warning
+    # capture would hide warnings printed on stderr.
+    path = _write(tmp_path, {})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    argv = [sys.executable, "-m", "orbitloop.cli", command,
+            "--scenario", str(path), "--out", str(tmp_path / "out")]
+    for override in overrides:
+        argv += ["--set", override]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("overrides, code", [
+    pytest.param(["x0=[0,0,0,0]"], 2, id="surface_warning_exit_2"),
+    pytest.param(["horizon_s=20", "srp.magnitude_km_s2=1e300"], 1,
+                 id="overflow_warnings_exit_1"),
+])
+def test_failing_run_folds_warnings_into_one_line(tmp_path, overrides, code):
+    proc = _run_cli(tmp_path, "simulate", overrides)
+    assert proc.returncode == code
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    diagnostic = json.loads(err[0])
+    assert diagnostic["warnings"]
+    assert all(isinstance(w, str) for w in diagnostic["warnings"])
+
+
+def test_successful_run_prints_its_warnings(tmp_path):
+    proc = _run_cli(tmp_path, "synthesize", ["observer_speed_factor=6"])
+    assert proc.returncode == 0
+    assert "UserWarning: observer speed factor 6.0 outside" in proc.stderr
 
 
 def test_dispatch_non_object_root_with_override_exit_2(tmp_path, capsys):

@@ -122,7 +122,6 @@ def test_linearize_plant_structure(plant):
                           [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(plant.c,
                           [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    assert np.array_equal(plant.d, np.zeros((2, 2)))
 
 
 def test_linearize_plant_frequency(plant):

@@ -380,8 +380,16 @@ def test_compare_methods_isolates_lambert_failure():
     lambda x0: ol.propagate_two_body(x0, [0.0, 10.0], a_srp=(0.0, math.inf)),
     lambda x0: ol.srp_drift_study(600.0, ol.SpacecraftParams(),
                                   ol.SrpConfig(), x0, rtol=NAN),
+    # Time grids that are not a non-empty, finite, strictly increasing 1-D
+    # array.
+    lambda x0: ol.propagate_two_body(x0, [0.0, -100.0]),
+    lambda x0: ol.propagate_two_body(x0, [0.0, NAN]),
+    lambda x0: ol.propagate_two_body(x0, [0.0, 100.0, 50.0]),
+    lambda x0: ol.propagate_two_body(x0, [[0.0, 1.0]]),
+    lambda x0: ol.propagate_two_body(x0, []),
 ], ids=["rtol_nan", "atol_nan", "rtol_zero", "atol_negative", "a_srp_nan",
-        "a_srp_inf", "drift_rtol_nan"])
+        "a_srp_inf", "drift_rtol_nan", "grid_backwards", "grid_nan",
+        "grid_not_increasing", "grid_2d", "grid_empty"])
 def test_propagation_rejects_bad_arguments(call):
     with pytest.raises(ValueError):
         call(ol.Scenario().x0)
