@@ -28,6 +28,11 @@ perfbench/backends.py checks that on machines that have numba.
 State layout: z = [x (true, 4) | e = x - xhat (4) | reference (4)].
 The observer is integrated in (x, e) coordinates, which makes the error
 block's arithmetic independent of the applied control for a linear plant.
+The plant is forced by B u, which `_control_impl` writes into slots 2 and
+3 of the work row `bu` (B = [0; I]), and by the run's constant SRP forcing
+`gw` = G w.  By FSAL ("first same as last", Dormand & Prince 1980, J.
+Comput. Appl. Math. 6(1)) each accepted step's last stage, at the new
+state, is the next step's first and leaves that state's control in `bu`.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ _STATUS_MESSAGES = {
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 
-def _control_impl(z, k, method, ux_uy):
+def _control_impl(z, k, method, bu):
     ux = 0.0
     uy = 0.0
     if method == 1:
@@ -95,12 +100,12 @@ def _control_impl(z, k, method, ux_uy):
             dev = z[i] - z[4 + i] - z[8 + i]
             ux -= k[0][i] * dev
             uy -= k[1][i] * dev
-    ux_uy[0] = ux
-    ux_uy[1] = uy
+    bu[2] = ux
+    bu[3] = uy
 
 
-def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
-              am, b, cm, g, k, l, nx, ny, uu):
+def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
+              am, cm, k, l, nx, ny, bu):
     # Reference block: a two-body arc, or frozen for a constant setpoint.
     if ref_moving == 1:
         rp = z[8]
@@ -119,18 +124,16 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
         dz[10] = 0.0
         dz[11] = 0.0
 
-    _control_impl(z, k, method, uu)
-    ux = uu[0]
-    uy = uu[1]
+    _control_impl(z, k, method, bu)
 
-    # True plant: nonlinear two-body gravity or the linearized model; the
-    # disturbance channel G carries the SRP components either way.
+    # True plant: nonlinear two-body gravity or the linearized model, forced
+    # by B u and G w either way.
     if plant_linear == 1:
         for i in range(4):
             acc = 0.0
             for j in range(4):
                 acc += am[i][j] * z[j]
-            dz[i] = acc + b[i][0] * ux + b[i][1] * uy + g[i][0] * ax + g[i][1] * ay
+            dz[i] = acc + bu[i] + gw[i]
     else:
         p = z[0]
         q = z[1]
@@ -138,10 +141,10 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
         if r < 1.0:
             return STATUS_SINGULAR_RADIUS
         r3 = r * r * r
-        dz[0] = z[2] + g[0][0] * ax + g[0][1] * ay
-        dz[1] = z[3] + g[1][0] * ax + g[1][1] * ay
-        dz[2] = -mu * p / r3 + g[2][0] * ax + g[2][1] * ay + ux
-        dz[3] = -mu * q / r3 + g[3][0] * ax + g[3][1] * ay + uy
+        dz[0] = z[2] + gw[0]
+        dz[1] = z[3] + gw[1]
+        dz[2] = -mu * p / r3 + gw[2] + bu[2]
+        dz[3] = -mu * q / r3 + gw[3] + bu[3]
 
     # Estimation-error block:  de = (Am - L C) e + (f(x) - Am x - B u) - L nu,
     # with f(x) the full forced true dynamics already stored in dz[0:4].  On
@@ -161,12 +164,12 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
             for j in range(4):
                 ame += am[i][j] * z[4 + j]
             if plant_linear == 1:
-                mism = g[i][0] * ax + g[i][1] * ay
+                mism = gw[i]
             else:
                 amx = 0.0
                 for j in range(4):
                     amx += am[i][j] * z[j]
-                mism = dz[i] - amx - (b[i][0] * ux + b[i][1] * uy)
+                mism = dz[i] - amx - bu[i]
             dz[4 + i] = ame - (l[i][0] * ce0 + l[i][1] * ce1) + mism
     else:
         for i in range(4):
@@ -174,8 +177,8 @@ def _rhs_impl(z, dz, mu, ax, ay, method, plant_linear, ref_moving,
     return STATUS_OK
 
 
-def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-                    am, b, cm, g, k, l, noise, rtol, atol, max_steps,
+def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
+                    am, cm, k, l, noise, rtol, atol, max_steps,
                     work, out_state, out_ctrl):
     # Dormand-Prince 5(4) tableau.
     a21 = 1.0 / 5.0
@@ -215,15 +218,15 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
     k5 = work[7]
     k6 = work[8]
     k7 = work[9]
-    uu = work[10]  # the control pair, in its first two slots
+    bu = work[10]  # B u in its first 4 slots; slots 0 and 1 stay 0
     for i in range(12):
         z[i] = z0[i]
 
     for i in range(12):
         out_state[0, i] = z[i]
-    _control_impl(z, k, method, uu)
-    out_ctrl[0, 0] = uu[0]
-    out_ctrl[0, 1] = uu[1]
+    _control_impl(z, k, method, bu)
+    out_ctrl[0, 0] = bu[2]
+    out_ctrl[0, 1] = bu[3]
 
     h = -1.0
     steps = 0
@@ -235,10 +238,12 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
         ny = noise[seg][1]
         if h <= 0.0:
             h = min(seg_len, 1.0)
-        st = _rhs_impl(z, k1, mu, ax, ay, method, plant_linear, ref_moving,
-                       am, b, cm, g, k, l, nx, ny, uu)
-        if st != STATUS_OK:
-            return st
+        # FSAL: k1 holds f(z) unless the held noise sample has just changed.
+        if seg == 0 or nx != noise[seg - 1][0] or ny != noise[seg - 1][1]:
+            st = _rhs_impl(z, k1, mu, gw, method, plant_linear, ref_moving,
+                           am, cm, k, l, nx, ny, bu)
+            if st != STATUS_OK:
+                return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
             steps += 1
             if steps > max_steps:
@@ -249,36 +254,36 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
 
             for i in range(12):
                 ytmp[i] = z[i] + hs * a21 * k1[i]
-            st = _rhs_impl(ytmp, k2, mu, ax, ay, method, plant_linear,
-                           ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+            st = _rhs_impl(ytmp, k2, mu, gw, method, plant_linear,
+                           ref_moving, am, cm, k, l, nx, ny, bu)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a31 * k1[i] + a32 * k2[i])
-                st = _rhs_impl(ytmp, k3, mu, ax, ay, method, plant_linear,
-                               ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+                st = _rhs_impl(ytmp, k3, mu, gw, method, plant_linear,
+                               ref_moving, am, cm, k, l, nx, ny, bu)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
-                st = _rhs_impl(ytmp, k4, mu, ax, ay, method, plant_linear,
-                               ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+                st = _rhs_impl(ytmp, k4, mu, gw, method, plant_linear,
+                               ref_moving, am, cm, k, l, nx, ny, bu)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a51 * k1[i] + a52 * k2[i]
                                            + a53 * k3[i] + a54 * k4[i])
-                st = _rhs_impl(ytmp, k5, mu, ax, ay, method, plant_linear,
-                               ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+                st = _rhs_impl(ytmp, k5, mu, gw, method, plant_linear,
+                               ref_moving, am, cm, k, l, nx, ny, bu)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
                                            + a64 * k4[i] + a65 * k5[i])
-                st = _rhs_impl(ytmp, k6, mu, ax, ay, method, plant_linear,
-                               ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+                st = _rhs_impl(ytmp, k6, mu, gw, method, plant_linear,
+                               ref_moving, am, cm, k, l, nx, ny, bu)
             if st == STATUS_OK:
                 for i in range(12):
                     znew[i] = z[i] + hs * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i]
                                            + b5 * k5[i] + b6 * k6[i])
-                st = _rhs_impl(znew, k7, mu, ax, ay, method, plant_linear,
-                               ref_moving, am, b, cm, g, k, l, nx, ny, uu)
+                st = _rhs_impl(znew, k7, mu, gw, method, plant_linear,
+                               ref_moving, am, cm, k, l, nx, ny, bu)
 
             if st != STATUS_OK:
                 # A stage left the admissible region: retry with a smaller
@@ -337,9 +342,9 @@ def _propagate_impl(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
 
         for i in range(12):
             out_state[seg + 1, i] = z[i]
-        _control_impl(z, k, method, uu)
-        out_ctrl[seg + 1, 0] = uu[0]
-        out_ctrl[seg + 1, 1] = uu[1]
+        # The last RHS call was at z, so bu holds the control there.
+        out_ctrl[seg + 1, 0] = bu[2]
+        out_ctrl[seg + 1, 1] = bu[3]
 
     return STATUS_OK
 
@@ -351,11 +356,11 @@ _rhs_impl = _jit(_rhs_impl)
 _propagate_impl = _jit(_propagate_impl)
 
 
-def propagate_grid(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-                   am, b, cm, g, k, l, noise, rtol, atol):
-    """Propagate z0 across the output grid t_out; returns the (n, 12)
-    state and (n, 2) control series, or raises NumericalError with the
-    kernel's status when the run does not end with STATUS_OK.
+def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
+                   am, cm, k, l, noise, rtol, atol):
+    """Propagate z0 across the output grid t_out under the forcing gw = G w;
+    returns the (n, 12) state and (n, 2) control series, or raises
+    NumericalError with the kernel's status if the run fails.
 
     The compiled kernel takes contiguous float ndarrays.  The Python
     kernel takes them as nested lists: an element of a list is a plain
@@ -364,16 +369,15 @@ def propagate_grid(z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
     out_state = np.empty((len(t_out), 12))
     out_ctrl = np.empty((len(t_out), 2))
     arrays = [np.ascontiguousarray(a, float)
-              for a in (z0, t_out, am, b, cm, g, k, l, noise)]
+              for a in (z0, t_out, gw, am, cm, k, l, noise)]
     work = np.zeros((11, 12))
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
-    z0, t_out, am, b, cm, g, k, l, noise = arrays
-    status = _propagate_impl(z0, t_out, float(mu), float(ax), float(ay),
-                             method, plant_linear, ref_moving, am, b, cm, g,
-                             k, l, noise, float(rtol), float(atol), _MAX_STEPS,
-                             work, out_state, out_ctrl)
+    z0, t_out, gw, am, cm, k, l, noise = arrays
+    status = _propagate_impl(z0, t_out, float(mu), gw, method, plant_linear,
+                             ref_moving, am, cm, k, l, noise, float(rtol),
+                             float(atol), _MAX_STEPS, work, out_state, out_ctrl)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     return out_state, out_ctrl

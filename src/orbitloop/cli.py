@@ -102,6 +102,8 @@ class ResponseSettings:
 
     def __post_init__(self):
         check_grid(self.step_horizon_s, self.step_dt_s, "response step")
+        if not self.step_dt_s <= self.step_horizon_s:
+            raise ValueError("response step_dt_s must lie in (0, step_horizon_s]")
         if not 1 <= self.freq_points <= MAX_GRID_STEPS:
             raise ValueError(f"freq_points must lie in [1, {MAX_GRID_STEPS}]")
         if not (self.freq_lo_rad_s > 0 and self.freq_hi_rad_s > 0):

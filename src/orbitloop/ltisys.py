@@ -29,6 +29,7 @@ __all__ = [
     "zero_state_response",
     "step_response",
     "check_grid",
+    "uniform_grid",
     "MAX_GRID_STEPS",
 ]
 
@@ -46,6 +47,12 @@ def check_grid(span: float, step: float, name: str):
     if span / step > MAX_GRID_STEPS:
         raise ValueError(f"{name} grid of {span / step:.3g} steps exceeds "
                          f"the limit of {MAX_GRID_STEPS}")
+
+
+def uniform_grid(span: float, step: float) -> np.ndarray:
+    """The sampling grid from 0 to span: max(1, round(span / step)) equal
+    intervals, ending exactly at span."""
+    return np.linspace(0.0, span, max(1, int(round(span / step))) + 1)
 
 
 @dataclass(frozen=True)
@@ -233,14 +240,14 @@ def zero_state_response(sys: StateSpace, u, tgrid) -> np.ndarray:
 
 
 def step_response(sys: StateSpace, horizon: float, dt: float):
-    """Unit-step response per input channel.
+    """Unit-step response per input channel, on uniform_grid(horizon, dt).
 
     Returns (t, y) with y of shape len(t) x p x m: y[:, :, j] is the output
     trajectory for a unit step applied on input j alone.  All m channels are
     the columns of one n x m state, X_{k+1} = Ad X_k + Bd, from X_0 = 0.
     """
     check_grid(horizon, dt, "step response")
-    t = np.arange(int(round(horizon / dt)) + 1) * dt
+    t = uniform_grid(horizon, dt)
     m = sys.n_inputs
     x = _zoh_response(sys.a, sys.b, np.zeros((sys.n_states, m)),
                       np.broadcast_to(np.eye(m), (t.size, m, m)), t)

@@ -28,7 +28,8 @@ from .dynamics import (
     srp_accel,
 )
 from .errors import DimensionError, NotApplicableError, NumericalError
-from .ltisys import StateSpace, _check_tgrid, check_grid, stability_class
+from .ltisys import (StateSpace, _check_tgrid, check_grid, stability_class,
+                     uniform_grid)
 from .synthesis import (
     SeparationLoop,
     SynthesisResult,
@@ -182,8 +183,7 @@ class Scenario:
         return np.array([*self.x0.position, 0.0, 0.0])
 
     def output_grid(self) -> np.ndarray:
-        n = max(1, int(round(self.horizon / self.output_dt)))
-        return np.linspace(0.0, self.horizon, n + 1)
+        return uniform_grid(self.horizon, self.output_dt)
 
 
 @dataclass(frozen=True)
@@ -266,14 +266,12 @@ def propagate_two_body(
     t = _check_tgrid(tgrid)
     z0 = np.zeros(12)
     z0[0:4] = state0.as_vector()
-    zeros42 = np.zeros((4, 2))
     zeros24 = np.zeros((2, 4))
-    b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     noise = np.zeros((max(t.size - 1, 1), 2))
     state, _ = _dopri.propagate_grid(
-        z0, t, constants.mu, a_srp[0], a_srp[1], _dopri.METHOD_UNCONTROLLED,
-        0, 0, np.zeros((4, 4)), b, zeros24, b, zeros24, zeros42, noise, rtol,
-        atol)
+        z0, t, constants.mu, (0.0, 0.0, a_srp[0], a_srp[1]),
+        _dopri.METHOD_UNCONTROLLED, 0, 0, np.zeros((4, 4)), zeros24, zeros24,
+        zeros24.T, noise, rtol, atol)
     return state[:, 0:4]
 
 
@@ -357,11 +355,12 @@ def run_scenario(s: Scenario,
     else:
         noise = np.zeros((t_out.size - 1, 2))
 
+    # G w row by row, not as d.g @ a_srp, whose summation order is BLAS's.
+    gw = d.g[:, 0] * a_srp[0] + d.g[:, 1] * a_srp[1]
     state, ctrl = _dopri.propagate_grid(
-        z0, t_out, s.constants.mu, a_srp[0], a_srp[1], _METHOD_ID[s.method],
+        z0, t_out, s.constants.mu, gw, _METHOD_ID[s.method],
         1 if s.plant_mode is PlantMode.LINEAR else 0, ref_moving,
-        d.plant.a, d.plant.b, d.plant.c, d.g, d.lqr.k, d.l, noise,
-        s.rtol, s.atol,
+        d.plant.a, d.plant.c, d.lqr.k, d.l, noise, s.rtol, s.atol,
     )
 
     true_states = state[:, 0:4].copy()
@@ -479,8 +478,7 @@ def srp_drift_study(
     """Propagate the same initial orbit with and without SRP and emit the
     position deviation and relative position error over time."""
     check_grid(duration, output_dt, "drift")
-    n = max(1, int(round(duration / output_dt)))
-    t = np.linspace(0.0, duration, n + 1)
+    t = uniform_grid(duration, output_dt)
     accel = srp_accel(srp, craft, constants)
     perturbed = propagate_two_body(orbit, t, accel, constants, rtol, atol)
     reference = propagate_two_body(orbit, t, (0.0, 0.0), constants, rtol, atol)

@@ -146,6 +146,8 @@ def test_dispatch_unobservable_override_exit_1(tmp_path, capsys):
     ("drift", "drift.output_dt_s=1e-6"),
     ("response", "response.step_dt_s=1e-9"),
     ("response", "response.freq_points=1000001"),
+    # A step longer than the horizon, as for output_dt_s.
+    ("response", "response.step_dt_s=100"),
     # Frequency grids that are not positive and increasing, refused before
     # step_response.csv is written.
     ("response", "response.freq_lo_rad_s=0"),

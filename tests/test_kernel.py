@@ -121,14 +121,13 @@ def test_nan_error_norm_fails_fast():
     # entry point refuses NaN, so the kernel is called directly.
     z0 = np.zeros(12)
     z0[0:4] = ol.Scenario().x0.as_vector()
-    b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for rtol, ax in ((math.nan, 0.0), (1e-8, math.nan)):
         with pytest.raises(ol.NumericalError, match="underflowed"):
             _dopri.propagate_grid(
-                z0, np.array([0.0, 10.0]), ol.PhysicalConstants().mu, ax, 0.0,
-                _dopri.METHOD_UNCONTROLLED, 0, 0, np.zeros((4, 4)), b,
-                np.zeros((2, 4)), b, np.zeros((2, 4)), np.zeros((4, 2)),
-                np.zeros((1, 2)), rtol, 1e-9)
+                z0, np.array([0.0, 10.0]), ol.PhysicalConstants().mu,
+                [0.0, 0.0, ax, 0.0], _dopri.METHOD_UNCONTROLLED, 0, 0,
+                np.zeros((4, 4)), np.zeros((2, 4)), np.zeros((2, 4)),
+                np.zeros((4, 2)), np.zeros((1, 2)), rtol, 1e-9)
 
 
 def _kernel_calls(monkeypatch, scenario):
@@ -153,19 +152,19 @@ def _kernel_calls(monkeypatch, scenario):
 def _run_kernel_source(args, lists):
     """The kernel's Python source on ndarray containers (what numba gets)
     or on list containers (what the Python path gets)."""
-    (z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-     am, b, cm, g, k, l, noise, rtol, atol) = args
-    arrays = [z0, t_out, am, b, cm, g, k, l, noise]
+    (z0, t_out, mu, gw, method, plant_linear, ref_moving,
+     am, cm, k, l, noise, rtol, atol) = args
+    arrays = [z0, t_out, gw, am, cm, k, l, noise]
     work = np.zeros((11, 12))
     if lists:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
-    z0, t_out, am, b, cm, g, k, l, noise = arrays
+    z0, t_out, gw, am, cm, k, l, noise = arrays
     out_state = np.zeros((len(t_out), 12))
     out_ctrl = np.zeros((len(t_out), 2))
     status = _dopri._propagate_impl(
-        z0, t_out, mu, ax, ay, method, plant_linear, ref_moving,
-        am, b, cm, g, k, l, noise, rtol, atol, _dopri._MAX_STEPS,
+        z0, t_out, mu, gw, method, plant_linear, ref_moving,
+        am, cm, k, l, noise, rtol, atol, _dopri._MAX_STEPS,
         work, out_state, out_ctrl)
     return out_state, out_ctrl, status
 
@@ -196,6 +195,49 @@ def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
     assert np.array_equal(ctrl_a, ctrl_l)
 
 
+def test_held_noise_estimation_error_matches_zoh_recursion():
+    # Independent oracle for the held measurement noise.  On the linear plant
+    # the error block obeys de/dt = (A - L C) e - L nu_k + G w, with nu_k
+    # held on [t_k, t_k+1), so the exact zero-order-hold recursion of
+    # (A - L C, [-L, G]) driven by [nu_k, w] gives it at every sample.  Every
+    # stage after a noise switch must see the new sample: the kernel lands
+    # 3.1e-12 km from the recursion (on a 7.8 km scale), and one that reuses
+    # the stale last stage as the first stage after a switch 5.1e-11 km.
+    from scipy.linalg import expm
+
+    sigma = (0.001, 0.002)
+    s = ol.Scenario(horizon=50.0, output_dt=0.5, rtol=1e-12, atol=1e-12,
+                    method=ol.Method.OBSERVER_ONLY,
+                    plant_mode=ol.PlantMode.LINEAR,
+                    measurement_noise_sigma=sigma, noise_seed=3)
+    rec = ol.run_scenario(s)
+    d = ol.synthesize_for_scenario(s)
+    aug = np.zeros((8, 8))
+    aug[:4, :4] = d.plant.a - d.l @ d.plant.c
+    aug[:4, 4:] = np.hstack([-d.l, d.g])
+    phi = expm(aug * 0.5)
+    nu = np.random.default_rng(3).standard_normal((rec.times.size - 1, 2))
+    nu *= sigma
+    w = ol.srp_accel(s.srp, s.spacecraft, s.constants)
+    want = np.empty((rec.times.size, 4))
+    want[0] = s.x0.as_vector() - s.initial_estimate()
+    for k in range(nu.shape[0]):
+        want[k + 1] = phi[:4, :4] @ want[k] + phi[:4, 4:] @ [*nu[k], *w]
+    assert np.abs(rec.estimation_error - want).max() <= 1e-11
+
+
+@pytest.mark.parametrize("method", [ol.Method.LQR, ol.Method.OBSERVER_LQR])
+def test_sampled_controls_follow_the_control_law(method):
+    # Each sample's control is -K (xhat - r) at that sample's own state, with
+    # xhat = x for LQR, and not the control of some trial stage.
+    s = ol.Scenario(horizon=200.0, method=method)
+    rec = ol.run_scenario(s)
+    xhat = rec.true_states if rec.estimates is None else rec.estimates
+    want = -(xhat - rec.reference) @ ol.synthesize_for_scenario(s).lqr.k.T
+    peak = np.abs(want).max()
+    assert np.abs(rec.controls - want).max() <= 1e-13 * peak
+
+
 def _assert_same_derivative(got, want):
     # The velocities are copied, so they match exactly.  The kernel takes the
     # radius as (p*p + q*q) ** 0.5 where the oracle takes math.hypot; the two
@@ -210,11 +252,10 @@ def _assert_same_derivative(got, want):
 def test_rhs_matches_numpy_derivative():
     # dynamics.two_body_srp_derivative is the oracle for the kernel's
     # right-hand side: the uncontrolled nonlinear plant block is gravity
-    # plus SRP through the disturbance map G, and the moving reference block
-    # is gravity alone.
+    # plus the SRP forcing G w, and the moving reference block is gravity
+    # alone.
     rng = np.random.default_rng(11)
     constants = ol.PhysicalConstants()
-    g = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     zeros = np.zeros((4, 4))
     for _ in range(2000):
         radius = rng.uniform(6500.0, 50000.0)
@@ -228,9 +269,9 @@ def test_rhs_matches_numpy_derivative():
         z[8:12] = state.as_vector()
         dz = np.zeros(12)
         status = _dopri._rhs_impl(
-            z, dz, constants.mu, ax, ay, _dopri.METHOD_UNCONTROLLED, 0, 1,
-            zeros, g, zeros[:2], g, zeros[:2], zeros[:, :2], 0.0, 0.0,
-            np.zeros(2))
+            z, dz, constants.mu, [0.0, 0.0, ax, ay],
+            _dopri.METHOD_UNCONTROLLED, 0, 1, zeros, zeros[:2], zeros[:2],
+            zeros[:, :2], 0.0, 0.0, np.zeros(12))
         assert status == _dopri.STATUS_OK
         _assert_same_derivative(
             dz[0:4], ol.two_body_srp_derivative(state, a_srp=(ax, ay)))
