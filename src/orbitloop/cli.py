@@ -85,6 +85,8 @@ class DriftSettings:
 
     def __post_init__(self):
         check_grid(self.duration_s, self.output_dt_s, "drift")
+        if not self.output_dt_s <= self.duration_s:
+            raise ValueError("drift output_dt_s must lie in (0, duration_s]")
         if not 0.0 <= self.theta0_rad <= math.pi / 2:
             raise ValueError("drift theta0_rad must lie in [0, pi/2]")
         if self.srp_magnitude_km_s2 is not None \

@@ -227,112 +227,27 @@ def linearize_plant(
     return StateSpace(a, b, c)
 
 
-def _stumpff_c(z: float) -> float:
-    if abs(z) < 1e-6:
-        return 1.0 / 2.0 - z / 24.0 + z * z / 720.0
-    if z > 0:
-        return (1.0 - math.cos(math.sqrt(z))) / z
-    return (math.cosh(math.sqrt(-z)) - 1.0) / (-z)
-
-
-def _stumpff_s(z: float) -> float:
-    if abs(z) < 1e-6:
-        return 1.0 / 6.0 - z / 120.0 + z * z / 5040.0
-    if z > 0:
-        sz = math.sqrt(z)
-        return (sz - math.sin(sz)) / sz**3
-    sz = math.sqrt(-z)
-    return (math.sinh(sz) - sz) / sz**3
-
-
-def _sweep_angle(r1: np.ndarray, r2: np.ndarray, direction: str) -> float:
-    """Transfer angle in (0, 2*pi) swept in the requested rotational sense
-    (prograde = counterclockwise, +z angular momentum)."""
-    cross_z = r1[0] * r2[1] - r1[1] * r2[0]
-    cos_dnu = float(
-        np.clip(np.dot(r1, r2) / (np.linalg.norm(r1) * np.linalg.norm(r2)), -1, 1)
-    )
-    principal = math.acos(cos_dnu)
-    ccw = cross_z >= 0
-    want_ccw = direction == "prograde"
-    return principal if ccw == want_ccw else 2 * math.pi - principal
-
-
-def _kepler_half_rev_time(r1n, x, q, p, mu):
-    """Flight time over a half-revolution sweep when e*sin(nu1) = x and
-    e*cos(nu1) = q on the conic with parameter p; elliptic branch only."""
-    e2 = q * q + x * x
-    if e2 >= 1.0:
-        return math.inf
-    e = math.sqrt(e2)
-    a = p / (1.0 - e2)
-    nu1 = math.atan2(x, q)
-    nu2 = nu1 + math.pi
-
-    def eccentric(nu):
-        return 2.0 * math.atan2(
-            math.sqrt(1.0 - e) * math.sin(nu / 2.0),
-            math.sqrt(1.0 + e) * math.cos(nu / 2.0),
-        )
-
-    e1, e2_an = eccentric(nu1), eccentric(nu2)
-    m1 = e1 - e * math.sin(e1)
-    m2 = e2_an - e * math.sin(e2_an)
-    dm = m2 - m1
-    if dm <= 0:
-        dm += 2.0 * math.pi
-    return math.sqrt(a**3 / mu) * dm
-
-
-def _lambert_half_rev(r1, r2, tof, direction, mu):
-    """Exact planar solution for a 180-degree transfer, where the chord
-    passes through the attractor and the universal-variable (f, g) formulas
-    degenerate.  The semi-latus rectum is fixed by the geometry
-    (p = 2 r1 r2 / (r1 + r2)), so only the departure radial speed remains,
-    solved from the flight time by bisection on the elliptic branch."""
-    r1n, r2n = float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
-    p = 2.0 * r1n * r2n / (r1n + r2n)
-    h = math.sqrt(mu * p)
-    q = p / r1n - 1.0
-    x_max = math.sqrt(max(1.0 - q * q, 0.0))
-
-    def time_of(x):
-        return _kepler_half_rev_time(r1n, x, q, p, mu)
-
-    # Bracket a sign change of time_of(x) - tof on (-x_max, x_max); flight
-    # time decreases toward the periapsis-side parabolic limit.
-    xs = np.linspace(-x_max * (1 - 1e-9), x_max * (1 - 1e-9), 65)
-    ts = [time_of(float(x)) for x in xs]
-    lo = hi = None
-    for i in range(len(xs) - 1):
-        f0, f1 = ts[i] - tof, ts[i + 1] - tof
-        if math.isfinite(f0) and math.isfinite(f1) and f0 * f1 <= 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            break
-    if lo is None:
-        raise InfeasibleTransferError(
-            "no elliptic half-revolution transfer matches this flight time"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (time_of(mid) - tof) * (time_of(lo) - tof) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(hi - lo) < 1e-15:
-            break
-    x = 0.5 * (lo + hi)
-
-    ccw = direction == "prograde"
-    u1 = r1 / r1n
-    u2 = r2 / r2n
-    t1 = np.array([-u1[1], u1[0]]) if ccw else np.array([u1[1], -u1[0]])
-    t2 = np.array([-u2[1], u2[0]]) if ccw else np.array([u2[1], -u2[0]])
-    v_r1 = (mu / h) * x
-    v_r2 = (mu / h) * (-x)  # e sin(nu1 + pi) = -e sin(nu1)
-    v1 = v_r1 * u1 + (h / r1n) * t1
-    v2 = v_r2 * u2 + (h / r2n) * t2
-    return v1, v2
+def _izzo_flight_time(x: float, y: float, lam: float) -> float:
+    """Izzo's non-dimensional single-revolution flight time T(x): Battin's
+    hypergeometric series near the parabola x = 1, where Lancaster's closed
+    form divides 0 by 0, and Lancaster's form elsewhere (x > -1)."""
+    if 0.7745966692414834 < x < 1.1832159566199232:  # sqrt(0.6), sqrt(1.4)
+        eta = y - lam * x
+        z = 0.5 * (1.0 - lam - x * eta)
+        # 2F1(3, 1; 5/2; z), summed until a term no longer changes the sum;
+        # |z| <= 0.4 on this interval.
+        hyp, term, n = 1.0, 1.2 * z, 1
+        while hyp + term != hyp:
+            hyp += term
+            term *= (3.0 + n) / (2.5 + n) * z
+            n += 1
+        return 0.5 * (eta**3 * 4.0 / 3.0 * hyp + 4.0 * lam * eta)
+    e = 1.0 - x * x
+    if e > 0:
+        psi = math.acos(max(-1.0, min(1.0, x * y + lam * e)))
+    else:
+        psi = math.asinh((y - x * lam) * math.sqrt(-e))
+    return (psi / math.sqrt(abs(e)) - x + lam * y) / e
 
 
 def lambert_solve(
@@ -345,10 +260,11 @@ def lambert_solve(
     """Single-revolution planar Lambert solve: velocities (v1, v2) such that
     two-body flight from (r1, v1) reaches r2 after tof seconds.
 
-    Universal-variable formulation with a bisection-safeguarded Newton
-    iteration on the universal anomaly (flight-time residual below 1e-9 s);
-    transfers within 1e-8 rad of a half revolution switch to a dedicated
-    planar branch that is exact where the (f, g) construction degenerates.
+    Izzo's algorithm (D. Izzo 2015, "Revisiting Lambert's problem", Celest.
+    Mech. Dyn. Astron. 121(1)) for zero revolutions: Householder iteration
+    on the non-dimensional flight time T(x) until |dx| <= 1e-13 max(1, |x|),
+    regular at a half revolution.  Endpoints on one ray take the radial
+    short way in both directions.
     """
     r1v = np.asarray(r1, dtype=float).reshape(2)
     r2v = np.asarray(r2, dtype=float).reshape(2)
@@ -366,85 +282,67 @@ def lambert_solve(
         raise DegenerateGeometryError("identical transfer endpoints")
     mu = constants.mu
 
-    dnu = _sweep_angle(r1v, r2v, direction)
-    if abs(dnu - math.pi) < 1e-8:
-        return _lambert_half_rev(r1v, r2v, tof, direction, mu)
+    u1, u2 = r1v / r1n, r2v / r2n
+    s = 0.5 * (r1n + r2n + gap)
+    # |lam| = sqrt(1 - c/s) in a form that does not cancel near a half
+    # revolution; lam < 0 when the sweep exceeds pi, never on one ray.
+    lam = math.sqrt(r1n * r2n) * math.hypot(*(u1 + u2)) / (2.0 * s)
+    turn = 1.0 if direction == "prograde" else -1.0  # sense of the sweep
+    if turn * (r1v[0] * r2v[1] - r1v[1] * r2v[0]) < 0:
+        lam = -lam
+    t = tof * math.sqrt(2.0 * mu / s) / s
 
-    a_geom = math.sin(dnu) * math.sqrt(r1n * r2n / (1.0 - math.cos(dnu)))
+    # Initial guess, Izzo's eqs. 19-21 and the corrected eq. 30.
+    t0 = math.acos(lam) + lam * math.sqrt(1.0 - lam * lam)
+    t1 = 2.0 * (1.0 - lam**3) / 3.0
+    if t >= t0:
+        x = (t0 / t) ** (2.0 / 3.0) - 1.0
+    elif t < t1:
+        # t underflows to 0 only far below any admissible flight time.
+        x = (2.5 * t1 * (t1 - t) / (t * (1.0 - lam**5)) + 1.0 if t > 0
+             else math.inf)
+    else:
+        x = math.exp(math.log(2.0) * math.log(t / t0)
+                     / math.log(t1 / t0)) - 1.0
 
-    def flight_time(z):
-        # Returns (None, None) where y <= 0, i.e. on or below the boundary
-        # y = 0 of the admissible domain, where the flight time is 0 and the
-        # Newton step would divide by chi = 0.
-        try:
-            c, s = _stumpff_c(z), _stumpff_s(z)
-            y = r1n + r2n + a_geom * (z * s - 1.0) / math.sqrt(c)
-            if y <= 0:
-                return None, None
-            chi = math.sqrt(y / c)
-            return (chi**3 * s + a_geom * math.sqrt(y)) / math.sqrt(mu), y
-        except OverflowError:
-            return math.inf, math.inf
-
-    # Bracket tof between z_lo and z_hi; flight time increases with z.  The
-    # single-revolution limit z -> (2*pi)^2 sends the flight time to
-    # infinity, so backing off by a relative 1e-4 still brackets any finite
-    # tof while keeping the Stumpff quotients well conditioned.  The descent
-    # stops either where y turns negative (flight time below any admissible
-    # value) or at the deep-hyperbolic floor.
-    z_hi = 4.0 * math.pi**2 * (1.0 - 1e-4)
-    z_lo = 0.0
-    t_lo, _ = flight_time(z_lo)
-    while t_lo is not None and t_lo > tof:
-        z_lo = -1.0 if z_lo == 0.0 else 2.0 * z_lo
-        if z_lo < -4.0e5:
+    for _ in range(15):
+        if not -1.0 < x < math.inf:  # T(x) grows without bound as x -> -1
             raise InfeasibleTransferError(
-                "flight time too short for this transfer geometry"
-            )
-        t_lo, _ = flight_time(z_lo)
-    t_hi, _ = flight_time(z_hi)
-    if t_hi is not None and t_hi < tof:
-        raise InfeasibleTransferError(
-            "flight time exceeds the single-revolution limit"
-        )
-
-    z = 0.5 * (z_lo + z_hi)
-    converged = False
-    for _ in range(100):
-        t_z, y = flight_time(z)
-        if t_z is None:
-            z_lo = z
-            z = 0.5 * (z_lo + z_hi)
-            continue
-        resid = t_z - tof
-        if abs(resid) <= 1e-9:
-            converged = True
+                "flight time exceeds the single-revolution limit" if x <= -1.0
+                else "flight time too short for this transfer geometry")
+        y = math.sqrt(1.0 - lam * lam * (1.0 - x * x))
+        tx = _izzo_flight_time(x, y, lam)
+        f = tx - t
+        if abs(x - 1.0) < 1e-8:
+            # Near the parabola x = 1 the derivative quotients below divide
+            # rounding error by 1 - x^2: take a Newton step on the limit
+            # dT/dx(1) = -2 (1 - lam^5) / 5 instead.
+            x_new = x + 2.5 * f / (1.0 - lam**5)
+        else:
+            e = 1.0 - x * x
+            d1 = (3.0 * tx * x - 2.0 + 2.0 * lam**3 * x / y) / e
+            d2 = (3.0 * tx + 5.0 * x * d1
+                  + 2.0 * (1.0 - lam * lam) * lam**3 / (y * y * y)) / e
+            d3 = (7.0 * x * d2 + 8.0 * d1 - 6.0 * (1.0 - lam * lam) * lam**5
+                  * x / (y * y * y * y * y)) / e
+            # Householder's quartic step, scaled by the Newton step h so
+            # that d1^3 cannot underflow at large x.
+            h = f / d1
+            x_new = x - h * (1.0 - 0.5 * h * d2 / d1) / (
+                1.0 - h * d2 / d1 + h * h * d3 / (6.0 * d1))
+        x, dx = x_new, x_new - x
+        if abs(dx) <= 1e-13 * max(1.0, abs(x)):
             break
-        if resid > 0:
-            z_hi = z
-        else:
-            z_lo = z
-        c, s = _stumpff_c(z), _stumpff_s(z)
-        if abs(z) > 1e-6:
-            c_p = (1.0 - z * s - 2.0 * c) / (2.0 * z)
-            s_p = (c - 3.0 * s) / (2.0 * z)
-        else:
-            c_p, s_p = -1.0 / 24.0 + z / 360.0, -1.0 / 120.0 + z / 2520.0
-        chi = math.sqrt(y / c)
-        dt_dz = (
-            chi**3 * (s_p - 3.0 * s * c_p / (2.0 * c))
-            + (a_geom / 8.0) * (3.0 * s * math.sqrt(y) / c + a_geom / chi)
-        ) / math.sqrt(mu)
-        z_new = z - resid / dt_dz if dt_dz > 0 else None
-        if z_new is None or not (z_lo < z_new < z_hi):
-            z_new = 0.5 * (z_lo + z_hi)
-        z = z_new
-    if not converged:
-        raise SolverError("Lambert iteration did not converge in 100 steps")
+    else:
+        raise SolverError("Lambert iteration did not converge in 15 steps")
 
-    f = 1.0 - y / r1n
-    g = a_geom * math.sqrt(y / mu)
-    gdot = 1.0 - y / r2n
-    v1 = (r2v - f * r1v) / g
-    v2 = (gdot * r2v - r1v) / g
+    y = math.sqrt(1.0 - lam * lam * (1.0 - x * x))
+    gamma = math.sqrt(0.5 * mu * s)
+    rho = (r1n - r2n) / gap
+    sigma = math.sqrt(max(0.0, 1.0 - rho * rho))
+    vr1 = gamma * ((lam * y - x) - rho * (lam * y + x)) / r1n
+    vr2 = -gamma * ((lam * y - x) + rho * (lam * y + x)) / r2n
+    vt = gamma * sigma * (y + lam * x)
+    v1 = vr1 * u1 + (vt / r1n) * turn * np.array([-u1[1], u1[0]])
+    v2 = vr2 * u2 + (vt / r2n) * turn * np.array([-u2[1], u2[0]])
     return v1, v2

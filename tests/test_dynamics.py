@@ -159,11 +159,59 @@ def test_lambert_degenerate_endpoints():
         ol.lambert_solve((7000.0, 0.0), (7000.0, 0.0), 1000.0)
 
 
-def test_lambert_infeasible_half_rev_too_fast():
-    # A half-revolution sweep faster than its parabolic limit has no
-    # admissible elliptic transfer.
-    with pytest.raises(ol.InfeasibleTransferError):
-        ol.lambert_solve((7000.0, 0.0), (-10000.0, 0.0), 100.0)
+def _half_rev_minus(delta):
+    # 10000 km from the centre at 180 degrees - delta from (7000, 0).
+    return (-10000.0 * math.cos(delta), 10000.0 * math.sin(delta))
+
+
+@pytest.mark.parametrize("direction", ["prograde", "retrograde"])
+@pytest.mark.parametrize("r2, tof", [
+    *(pytest.param(_half_rev_minus(delta), 3000.0, id=f"half_rev-{delta:g}")
+      for delta in (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-5, 1e-3)),
+    # Hyperbolic: faster than the parabola over this sweep.
+    pytest.param(_half_rev_minus(0.0), 100.0, id="half_rev-100s"),
+    # Both endpoints on one ray: the radial short way in either direction.
+    pytest.param((8000.0, 0.0), 1000.0, id="same_ray-1000s"),
+    pytest.param((8000.0, 0.0), 3000.0, id="same_ray-3000s"),
+])
+def test_lambert_closes_at_and_near_half_revolution(r2, tof, direction):
+    v1, _ = ol.lambert_solve((7000.0, 0.0), r2, tof, direction)
+    arc = ol.propagate_two_body(ol.OrbitState((7000.0, 0.0), tuple(v1)),
+                                np.array([0.0, tof]), rtol=1e-12, atol=1e-12)
+    assert math.hypot(arc[-1, 0] - r2[0], arc[-1, 1] - r2[1]) < 1e-6
+
+
+def test_lambert_parabolic_iterate():
+    # s = 16000 km and mu = s^3 / 2 make the non-dimensional flight time
+    # equal tof, so tof = 2/3 s is exactly the parabolic time of this
+    # half revolution and the iteration starts at x = 1, where the
+    # derivative quotients divide by 1 - x^2 = 0.
+    constants = ol.PhysicalConstants(mu=2.048e12)
+    v1, v2 = ol.lambert_solve((8000.0, 0.0), (-8000.0, 0.0), 2.0 / 3.0,
+                              constants=constants)
+    # The parabola's periapsis lies midway: both ends at 45 degrees flight
+    # path angle with the escape speed sqrt(2 mu / r) = 16000 sqrt(2).
+    assert np.allclose(v1, [-16000.0, 16000.0], rtol=0, atol=1e-9)
+    assert np.allclose(v2, [-16000.0, -16000.0], rtol=0, atol=1e-9)
+
+
+def test_lambert_flight_time_extremes():
+    p1, p2 = (7000.0, 0.0), (0.0, 9000.0)
+    # Gravity is negligible over the flight (non-dimensional time ~2e-105),
+    # so both velocities are the chord over tof; the unscaled Householder
+    # denominator d1^3 underflows to 0 here.
+    v1, v2 = ol.lambert_solve(p1, p2, 20.0,
+                              constants=ol.PhysicalConstants(mu=1e-200))
+    chord = (np.array(p2) - np.array(p1)) / 20.0
+    assert np.allclose(v1, chord, rtol=1e-14, atol=0)
+    assert np.allclose(v2, chord, rtol=1e-14, atol=0)
+    # The non-dimensional time underflows to 0, or the iterate rounds to -1.
+    with pytest.raises(ol.InfeasibleTransferError, match="too short"):
+        ol.lambert_solve(p1, p2, 20.0,
+                         constants=ol.PhysicalConstants(mu=5e-324))
+    with pytest.raises(ol.InfeasibleTransferError,
+                       match="single-revolution limit"):
+        ol.lambert_solve(p1, p2, 1e30)
 
 
 def test_lambert_long_way_near_collision_branch():
