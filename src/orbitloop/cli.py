@@ -34,7 +34,6 @@ from .errors import GammaRangeError, ScenarioError, SynthesisError
 from .linalg import eigenvalues, rank
 from .ltisys import (
     MAX_GRID_STEPS,
-    StateSpace,
     check_grid,
     controllability_matrix,
     default_frequency_grid,
@@ -62,12 +61,7 @@ from .simulate import (
     srp_drift_study,
     synthesize_for_scenario,
 )
-from .synthesis import (
-    Weights,
-    hinf_state_feedback,
-    lqr_loop_transfer,
-    observer_compensator,
-)
+from .synthesis import Weights, hinf_state_feedback
 
 SERIES_COLUMNS = [
     "t", "x_p", "y_p", "vx", "vy",
@@ -448,29 +442,26 @@ def _cmd_analyze(scenario, drift_cfg, response_cfg, outdir, fmt):
 
 
 def _cmd_synthesize(scenario, drift_cfg, response_cfg, outdir, fmt):
-    plant, g, lqr, l_gain, loop = synthesize_for_scenario(scenario)
+    d = synthesize_for_scenario(scenario)
     payload = {
-        "gain_k": lqr.k,
-        "riccati_p": lqr.p,
-        "observer_gain_l": l_gain,
-        "closed_loop_eigenvalues": _complex_list(lqr.closed_loop_spectrum),
-        "observer_eigenvalues": _complex_list(
-            eigenvalues(plant.a - l_gain @ plant.c)
-        ),
+        "gain_k": d.lqr.k,
+        "riccati_p": d.lqr.p,
+        "observer_gain_l": d.l,
+        "closed_loop_eigenvalues": _complex_list(d.spectra["closed_loop"]),
+        "observer_eigenvalues": _complex_list(d.spectra["observer"]),
         "separation_loop_eigenvalues": _complex_list(
-            eigenvalues(loop.error_coords)
-        ),
+            d.spectra["separation_loop"]),
         "reference_gains": REFERENCE_GAINS,
     }
     try:
-        hinf = hinf_state_feedback(plant.a, plant.b, g, scenario.weights,
+        hinf = hinf_state_feedback(d.plant.a, d.plant.b, d.g, scenario.weights,
                                    (1e-2, 1e4))
         payload["hinf"] = {"gamma": hinf.gamma, "gain_k": hinf.k}
     except (SynthesisError, GammaRangeError) as exc:
         payload["hinf"] = {"error": str(exc)}
     _write_json(outdir / "synthesize.json", payload)
-    print("K =", np.array2string(lqr.k, precision=6))
-    print("L =", np.array2string(l_gain, precision=6))
+    print("K =", np.array2string(d.lqr.k, precision=6))
+    print("L =", np.array2string(d.l, precision=6))
     if "gamma" in payload["hinf"]:
         print(f"hinf gamma = {payload['hinf']['gamma']:.6g}")
     return 0
@@ -594,19 +585,14 @@ def _cmd_drift(scenario, drift_cfg, response_cfg, outdir, fmt):
 
 
 def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
-    plant, g, lqr, l_gain, loop = synthesize_for_scenario(scenario)
-    b_aug = np.vstack([g, g])
-    c_aug = np.hstack([plant.c, np.zeros_like(plant.c)])
-    closed_a = StateSpace(plant.a - plant.b @ lqr.k, g, plant.c)
-    closed_c = StateSpace(loop.error_coords, b_aug, c_aug)
-
-    t, y_c = step_response(closed_c, response_cfg.step_horizon_s,
-                           response_cfg.step_dt_s)
-    _, y_a = step_response(closed_a, response_cfg.step_horizon_s,
-                           response_cfg.step_dt_s)
+    d = synthesize_for_scenario(scenario)
+    steps = {label: step_response(sys_loop, response_cfg.step_horizon_s,
+                                  response_cfg.step_dt_s)
+             for label, sys_loop in d.step_loops.items()}
+    t, y_c = steps["observer_lqr"]
     names = ["t"]
     columns = [t]
-    for label, y in (("lqr", y_a), ("observer_lqr", y_c)):
+    for label, (_, y) in steps.items():
         for out in range(2):
             for inp in range(2):
                 names.append(f"{label}_y{out}_u{inp}")
@@ -616,12 +602,8 @@ def _cmd_response(scenario, drift_cfg, response_cfg, outdir, fmt):
     grid = default_frequency_grid(response_cfg.freq_points,
                                   response_cfg.freq_lo_rad_s,
                                   response_cfg.freq_hi_rad_s)
-    loops = {
-        "lqr": lqr_loop_transfer(plant, lqr.k),
-        "observer_lqr": observer_compensator(plant, lqr.k, l_gain),
-    }
     settle = _settling_from_step(t, y_c, scenario.settle_band)
-    for name, sys_loop in loops.items():
+    for name, sys_loop in d.sweep_loops.items():
         h = frequency_response(sys_loop, grid)
         head = ["omega_rad_s"]
         columns = [grid]

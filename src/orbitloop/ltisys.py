@@ -73,7 +73,8 @@ class StateSpace:
             raise DimensionError("b must have one row per state")
         if c.shape[1] != a.shape[0]:
             raise DimensionError("c must have one column per state")
-        for name, val in (("a", a), ("b", b), ("c", c)):
+        # Copies, so freezing them leaves the caller's arrays writable.
+        for name, val in (("a", a.copy()), ("b", b.copy()), ("c", c.copy())):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 

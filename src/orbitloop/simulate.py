@@ -31,11 +31,12 @@ from .errors import DimensionError, NotApplicableError, NumericalError
 from .ltisys import (StateSpace, _check_tgrid, check_grid, stability_class,
                      uniform_grid)
 from .synthesis import (
-    SeparationLoop,
     SynthesisResult,
     Weights,
     assemble_separation_loop,
     lqr_gain,
+    lqr_loop_transfer,
+    observer_compensator,
     observer_gain,
 )
 
@@ -276,15 +277,21 @@ def propagate_two_body(
 
 
 class ScenarioDesign(NamedTuple):
-    """The linear design of a scenario: the plant (A, B and the scenario's
-    measurement map as C), the disturbance input map g, the LQR synthesis,
-    the observer gain l and the separation loop built from that same C."""
+    """The linear design of a scenario and every closed loop and spectrum
+    reported from it, so no command assembles a loop: the plant (A, B and
+    the measurement map as C), the disturbance map g, the LQR synthesis,
+    the observer gain l; step_loops from G's input to the output, "lqr"
+    (A - B K, G, C) and "observer_lqr" (the [x; e] separation loop, [G; G],
+    [C, 0]); sweep_loops broken at the plant input; and the spectra of A,
+    A - B K, A - L C and the separation loop."""
 
     plant: StateSpace
     g: np.ndarray
     lqr: SynthesisResult
     l: np.ndarray
-    loop: SeparationLoop
+    step_loops: dict[str, StateSpace]
+    sweep_loops: dict[str, StateSpace]
+    spectra: dict[str, np.ndarray]
 
 
 def scenario_plant(s: Scenario) -> StateSpace:
@@ -308,11 +315,22 @@ def synthesize_for_scenario(s: Scenario) -> ScenarioDesign:
     plant = scenario_plant(s)
     g = plant.b if s.disturbance_matrix is None \
         else linalg.as_matrix(s.disturbance_matrix, "disturbance_matrix")
-    lqr = lqr_gain(plant.a, plant.b, s.weights)
-    l = observer_gain(plant.a, plant.c, lqr.closed_loop_spectrum,
-                      s.observer_speed_factor)
-    loop = assemble_separation_loop(plant.a, plant.b, plant.c, lqr.k, l)
-    return ScenarioDesign(plant, g, lqr, l, loop)
+    a, b, c = plant.a, plant.b, plant.c
+    lqr = lqr_gain(a, b, s.weights)
+    l = observer_gain(a, c, lqr.closed_loop_spectrum, s.observer_speed_factor)
+    sep = assemble_separation_loop(a, b, c, lqr.k, l).error_coords
+    step_loops = {
+        "lqr": StateSpace(a - b @ lqr.k, g, c),
+        "observer_lqr": StateSpace(sep, np.vstack([g, g]),
+                                   np.hstack([c, np.zeros_like(c)])),
+    }
+    sweep_loops = {"lqr": lqr_loop_transfer(plant, lqr.k),
+                   "observer_lqr": observer_compensator(plant, lqr.k, l)}
+    spectra = {"plant": linalg.eigenvalues(a),
+               "closed_loop": lqr.closed_loop_spectrum,
+               "observer": linalg.eigenvalues(a - l @ c),
+               "separation_loop": linalg.eigenvalues(sep)}
+    return ScenarioDesign(plant, g, lqr, l, step_loops, sweep_loops, spectra)
 
 
 def run_scenario(s: Scenario,
@@ -433,21 +451,19 @@ def compare_methods(s: Scenario) -> ComparisonReport:
     reported in its row rather than aborting the comparison.  The methods
     share one design, synthesized once."""
     d = synthesize_for_scenario(s)
-    a = d.plant.a
-    closed = a - d.plant.b @ d.lqr.k
-    observer = a - d.l @ d.plant.c
-    sep = d.loop.error_coords
+    sp = d.spectra
     eig_info = {
-        Method.UNCONTROLLED: {"plant": linalg.eigenvalues(a)},
-        Method.LQR: {"closed_loop": linalg.eigenvalues(closed)},
-        Method.OBSERVER_ONLY: {"plant": linalg.eigenvalues(a),
-                               "observer": linalg.eigenvalues(observer)},
-        Method.OBSERVER_LQR: {"separation_loop": linalg.eigenvalues(sep)},
+        Method.UNCONTROLLED: {"plant": sp["plant"]},
+        Method.LQR: {"closed_loop": sp["closed_loop"]},
+        Method.OBSERVER_ONLY: {"plant": sp["plant"], "observer": sp["observer"]},
+        Method.OBSERVER_LQR: {"separation_loop": sp["separation_loop"]},
     }
     # observer_only applies no control: its row reports the plant's class.
+    a = d.plant.a
     stab_info = {method: stability_class(m).value for method, m in (
-        (Method.UNCONTROLLED, a), (Method.LQR, closed),
-        (Method.OBSERVER_ONLY, a), (Method.OBSERVER_LQR, sep))}
+        (Method.UNCONTROLLED, a), (Method.LQR, d.step_loops["lqr"].a),
+        (Method.OBSERVER_ONLY, a),
+        (Method.OBSERVER_LQR, d.step_loops["observer_lqr"].a))}
 
     reports = []
     records = {}

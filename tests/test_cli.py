@@ -437,6 +437,11 @@ def test_scaled_measurement_map_reports_running_observer(tmp_path):
     cmp = json.loads((tmp_path / "cmp" / "compare.json").read_text())
     observer = cmp["methods"]["observer_only"]["eigenvalues"]["observer"]
     assert spectra_close(_spectrum(observer), expected, tol=1e-9)
+    # Both commands report the design's spectra: the same lists, exactly.
+    for method, key in (("lqr", "closed_loop"), ("observer_only", "observer"),
+                        ("observer_lqr", "separation_loop")):
+        assert cmp["methods"][method]["eigenvalues"][key] \
+            == syn[f"{key}_eigenvalues"]
 
 
 def test_compare_lambert_failure_writes_only_report(tmp_path):

@@ -130,6 +130,24 @@ def test_nan_error_norm_fails_fast():
                 np.zeros((4, 2)), np.zeros((1, 2)), rtol, 1e-9)
 
 
+@pytest.mark.skipif(_dopri.USING_NUMBA,
+                    reason="the compiled kernel binds the compiled RHS")
+def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
+    # perfbench counts RHS evaluations by rebinding _dopri._rhs_impl, so the
+    # Python kernel must look the RHS up in its module at call time; a
+    # kernel that bound it earlier would run and report zero evaluations.
+    calls = []
+    rhs = _dopri._rhs_impl
+
+    def counting(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(_dopri, "_rhs_impl", counting)
+    ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 10.0]))
+    assert calls
+
+
 def _kernel_calls(monkeypatch, scenario):
     """Arguments of every propagate_grid call that running the scenario
     makes; a run that fails in the kernel still records its call."""

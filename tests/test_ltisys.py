@@ -119,11 +119,11 @@ def test_frequency_response_flags_singular_points():
 
 def test_frequency_response_matches_per_point_solve():
     # The batched resolvent gives the bits of the per-point loop it
-    # replaced: one complex solve per frequency, then C x.
+    # replaced: one complex solve per frequency, then C x.  Checked on the
+    # default scenario's design's frequency-sweep loops.
     d = ol.synthesize_for_scenario(ol.Scenario())
     grid = ol.default_frequency_grid()
-    for sys in (ol.lqr_loop_transfer(d.plant, d.lqr.k),
-                ol.observer_compensator(d.plant, d.lqr.k, d.l)):
+    for sys in d.sweep_loops.values():
         eye = np.eye(sys.n_states)
         ref = np.array([
             sys.c @ np.linalg.solve(1j * w * eye - sys.a,
@@ -243,15 +243,10 @@ def test_step_response_settles_to_dc_gain(plant, lqr_design):
 def test_step_response_matches_per_input_zero_state():
     # Independent oracle: column j of the batched step response is the
     # zero-state response to a unit step on input j alone, read through C.
-    # Checked on the default scenario's 8-state separation loop and 4-state
-    # LQR loop, as the response command builds them.
-    plant, g, lqr, _, loop = ol.synthesize_for_scenario(ol.Scenario())
-    systems = (
-        ol.StateSpace(loop.error_coords, np.vstack([g, g]),
-                      np.hstack([plant.c, np.zeros_like(plant.c)])),
-        ol.StateSpace(plant.a - plant.b @ lqr.k, g, plant.c),
-    )
-    for sys in systems:
+    # Checked on the default scenario's design's step-response loops: the
+    # 4-state LQR loop and the 8-state separation loop.
+    d = ol.synthesize_for_scenario(ol.Scenario())
+    for sys in d.step_loops.values():
         t, y = ol.step_response(sys, 15.0, 0.01)
         assert y.shape == (t.size, sys.n_outputs, sys.n_inputs)
         for j in range(sys.n_inputs):

@@ -287,6 +287,29 @@ def test_compare_methods_report_shape():
     assert by_name["uncontrolled"].metrics.control_energy == 0.0
 
 
+def test_design_loops_use_its_gains_and_maps():
+    # Every loop of the design is built from its own K, L, G and measurement
+    # map C: a custom G and a scaled C show any fallback to B or to the
+    # position outputs.
+    g = np.array([[0.1, 0.0], [0.0, 0.2], [1.0, 0.3], [-0.2, 0.7]])
+    c = 2.0 * np.eye(2, 4)
+    d = ol.synthesize_for_scenario(
+        ol.Scenario(disturbance_matrix=g, measurement_matrix=c))
+    a, b, k, l = d.plant.a, d.plant.b, d.lqr.k, d.l
+    lqr, sep = d.step_loops["lqr"], d.step_loops["observer_lqr"]
+    assert np.array_equal(lqr.a, a - b @ k)
+    assert np.array_equal(lqr.b, g) and np.array_equal(lqr.c, c)
+    assert np.array_equal(sep.a[4:, 4:], a - l @ c)
+    assert np.array_equal(sep.b, np.vstack([g, g]))
+    assert np.array_equal(sep.c, np.hstack([c, np.zeros((2, 4))]))
+    assert np.array_equal(d.sweep_loops["lqr"].c, k)
+    assert np.array_equal(d.sweep_loops["observer_lqr"].a, a - b @ k - l @ c)
+    union = np.concatenate([d.spectra["closed_loop"], d.spectra["observer"]])
+    assert spectra_close(d.spectra["separation_loop"], union, tol=1e-6)
+    # The loops freeze copies: the gains and the caller's G stay writable.
+    assert g.flags.writeable and k.flags.writeable and l.flags.writeable
+
+
 def test_compare_methods_synthesis_failure_propagates():
     # Gains are shared across the four methods: when the scenario's design
     # itself is unobservable there is nothing to compare.
