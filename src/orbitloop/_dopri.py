@@ -28,11 +28,12 @@ perfbench/backends.py checks that on machines that have numba.
 State layout: z = [x (true, 4) | e = x - xhat (4) | reference (4)].
 The observer is integrated in (x, e) coordinates, which makes the error
 block's arithmetic independent of the applied control for a linear plant.
-The plant is forced by B u, which `_control_impl` writes into slots 2 and
-3 of the work row `bu` (B = [0; I]), and by the run's constant SRP forcing
-`gw` = G w.  By FSAL ("first same as last", Dormand & Prince 1980, J.
-Comput. Appl. Math. 6(1)) each accepted step's last stage, at the new
-state, is the next step's first and leaves that state's control in `bu`.
+The plant's linearization is A = [[0, I], [w2 I, 0]], passed as w2.  The
+RHS writes u = -K (xhat - r) into the work row `u` and forces the plant by
+B u (B = [0; I]) and the run's constant SRP forcing `gw` = G w.  The first
+RHS call is at z0, and by FSAL ("first same as last", Dormand & Prince
+1980, J. Comput. Appl. Math. 6(1)) each accepted step's last stage, at the
+new state, is the next step's first, so `u` holds each sample's control.
 """
 
 from __future__ import annotations
@@ -87,25 +88,8 @@ _STATUS_MESSAGES = {
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 
-def _control_impl(z, k, method, bu):
-    ux = 0.0
-    uy = 0.0
-    if method == 1:
-        for i in range(4):
-            dev = z[i] - z[8 + i]
-            ux -= k[0][i] * dev
-            uy -= k[1][i] * dev
-    elif method == 3:
-        for i in range(4):
-            dev = z[i] - z[4 + i] - z[8 + i]
-            ux -= k[0][i] * dev
-            uy -= k[1][i] * dev
-    bu[2] = ux
-    bu[3] = uy
-
-
 def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
-              am, cm, k, l, nx, ny, bu):
+              w2, cm, k, l, nx, ny, u):
     # Reference block: a two-body arc, or frozen for a constant setpoint.
     if ref_moving == 1:
         rp = z[8]
@@ -124,16 +108,25 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
         dz[10] = 0.0
         dz[11] = 0.0
 
-    _control_impl(z, k, method, bu)
+    # u = -K (xhat - r), xhat = x - e; e stays 0 without an observer.
+    ux = 0.0
+    uy = 0.0
+    if method == 1 or method == 3:
+        for i in range(4):
+            dev = z[i] - z[4 + i] - z[8 + i]
+            ux -= k[0][i] * dev
+            uy -= k[1][i] * dev
+    u[0] = ux
+    u[1] = uy
 
     # True plant: nonlinear two-body gravity or the linearized model, forced
-    # by B u and G w either way.
+    # by B u and G w either way.  Rows of A z start from 0.0, as a summed
+    # product does, so a -0.0 term still gives +0.0.
     if plant_linear == 1:
-        for i in range(4):
-            acc = 0.0
-            for j in range(4):
-                acc += am[i][j] * z[j]
-            dz[i] = acc + bu[i] + gw[i]
+        dz[0] = 0.0 + z[2] + gw[0]
+        dz[1] = 0.0 + z[3] + gw[1]
+        dz[2] = 0.0 + w2 * z[0] + ux + gw[2]
+        dz[3] = 0.0 + w2 * z[1] + uy + gw[3]
     else:
         p = z[0]
         q = z[1]
@@ -143,10 +136,10 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
         r3 = r * r * r
         dz[0] = z[2] + gw[0]
         dz[1] = z[3] + gw[1]
-        dz[2] = -mu * p / r3 + gw[2] + bu[2]
-        dz[3] = -mu * q / r3 + gw[3] + bu[3]
+        dz[2] = -mu * p / r3 + gw[2] + ux
+        dz[3] = -mu * q / r3 + gw[3] + uy
 
-    # Estimation-error block:  de = (Am - L C) e + (f(x) - Am x - B u) - L nu,
+    # Estimation-error block:  de = (A - L C) e + (f(x) - A x - B u) - L nu,
     # with f(x) the full forced true dynamics already stored in dz[0:4].  On
     # the linear plant the model-mismatch term reduces to G w exactly; it is
     # computed directly in that form so the error block's arithmetic never
@@ -159,18 +152,15 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
             ce1 += cm[1][j] * z[4 + j]
         ce0 += nx
         ce1 += ny
-        for i in range(4):
-            ame = 0.0
-            for j in range(4):
-                ame += am[i][j] * z[4 + j]
-            if plant_linear == 1:
-                mism = gw[i]
-            else:
-                amx = 0.0
-                for j in range(4):
-                    amx += am[i][j] * z[j]
-                mism = dz[i] - amx - bu[i]
-            dz[4 + i] = ame - (l[i][0] * ce0 + l[i][1] * ce1) + mism
+        lin = plant_linear == 1
+        m0 = gw[0] if lin else dz[0] - (0.0 + z[2])
+        m1 = gw[1] if lin else dz[1] - (0.0 + z[3])
+        m2 = gw[2] if lin else dz[2] - (0.0 + w2 * z[0]) - ux
+        m3 = gw[3] if lin else dz[3] - (0.0 + w2 * z[1]) - uy
+        dz[4] = 0.0 + z[6] - (l[0][0] * ce0 + l[0][1] * ce1) + m0
+        dz[5] = 0.0 + z[7] - (l[1][0] * ce0 + l[1][1] * ce1) + m1
+        dz[6] = 0.0 + w2 * z[4] - (l[2][0] * ce0 + l[2][1] * ce1) + m2
+        dz[7] = 0.0 + w2 * z[5] - (l[3][0] * ce0 + l[3][1] * ce1) + m3
     else:
         for i in range(4):
             dz[4 + i] = 0.0
@@ -178,7 +168,7 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
 
 
 def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
-                    am, cm, k, l, noise, rtol, atol, max_steps,
+                    w2, cm, k, l, noise, rtol, atol, max_steps,
                     work, out_state, out_ctrl):
     # Dormand-Prince 5(4) tableau.
     a21 = 1.0 / 5.0
@@ -218,15 +208,17 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
     k5 = work[7]
     k6 = work[8]
     k7 = work[9]
-    bu = work[10]  # B u in its first 4 slots; slots 0 and 1 stay 0
+    u = work[10]  # the control (ux, uy) at the last RHS evaluation
     for i in range(12):
         z[i] = z0[i]
-
-    for i in range(12):
-        out_state[0, i] = z[i]
-    _control_impl(z, k, method, bu)
-    out_ctrl[0, 0] = bu[2]
-    out_ctrl[0, 1] = bu[3]
+        out_state[0, i] = z0[i]
+    # The first RHS evaluation, at z0, leaves sample 0's control in u.
+    st = _rhs_impl(z, k1, mu, gw, method, plant_linear, ref_moving,
+                   w2, cm, k, l, noise[0][0], noise[0][1], u)
+    if st != STATUS_OK:
+        return st
+    out_ctrl[0, 0] = u[0]
+    out_ctrl[0, 1] = u[1]
 
     h = -1.0
     steps = 0
@@ -239,9 +231,9 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
         if h <= 0.0:
             h = min(seg_len, 1.0)
         # FSAL: k1 holds f(z) unless the held noise sample has just changed.
-        if seg == 0 or nx != noise[seg - 1][0] or ny != noise[seg - 1][1]:
+        if seg > 0 and (nx != noise[seg - 1][0] or ny != noise[seg - 1][1]):
             st = _rhs_impl(z, k1, mu, gw, method, plant_linear, ref_moving,
-                           am, cm, k, l, nx, ny, bu)
+                           w2, cm, k, l, nx, ny, u)
             if st != STATUS_OK:
                 return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
@@ -255,35 +247,35 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
             for i in range(12):
                 ytmp[i] = z[i] + hs * a21 * k1[i]
             st = _rhs_impl(ytmp, k2, mu, gw, method, plant_linear,
-                           ref_moving, am, cm, k, l, nx, ny, bu)
+                           ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a31 * k1[i] + a32 * k2[i])
                 st = _rhs_impl(ytmp, k3, mu, gw, method, plant_linear,
-                               ref_moving, am, cm, k, l, nx, ny, bu)
+                               ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
                 st = _rhs_impl(ytmp, k4, mu, gw, method, plant_linear,
-                               ref_moving, am, cm, k, l, nx, ny, bu)
+                               ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a51 * k1[i] + a52 * k2[i]
                                            + a53 * k3[i] + a54 * k4[i])
                 st = _rhs_impl(ytmp, k5, mu, gw, method, plant_linear,
-                               ref_moving, am, cm, k, l, nx, ny, bu)
+                               ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
                                            + a64 * k4[i] + a65 * k5[i])
                 st = _rhs_impl(ytmp, k6, mu, gw, method, plant_linear,
-                               ref_moving, am, cm, k, l, nx, ny, bu)
+                               ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     znew[i] = z[i] + hs * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i]
                                            + b5 * k5[i] + b6 * k6[i])
                 st = _rhs_impl(znew, k7, mu, gw, method, plant_linear,
-                               ref_moving, am, cm, k, l, nx, ny, bu)
+                               ref_moving, w2, cm, k, l, nx, ny, u)
 
             if st != STATUS_OK:
                 # A stage left the admissible region: retry with a smaller
@@ -342,25 +334,25 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
 
         for i in range(12):
             out_state[seg + 1, i] = z[i]
-        # The last RHS call was at z, so bu holds the control there.
-        out_ctrl[seg + 1, 0] = bu[2]
-        out_ctrl[seg + 1, 1] = bu[3]
+        # The last RHS call was at z, so u holds the control there.
+        out_ctrl[seg + 1, 0] = u[0]
+        out_ctrl[seg + 1, 1] = u[1]
 
     return STATUS_OK
 
 
-# Rebind in dependency order so the outer kernels resolve the jitted inner
-# functions when numba compiles them on first call.
-_control_impl = _jit(_control_impl)
+# Rebind the RHS first so the stepper resolves the jitted RHS when numba
+# compiles it on first call.
 _rhs_impl = _jit(_rhs_impl)
 _propagate_impl = _jit(_propagate_impl)
 
 
 def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
-                   am, cm, k, l, noise, rtol, atol):
-    """Propagate z0 across the output grid t_out under the forcing gw = G w;
-    returns the (n, 12) state and (n, 2) control series, or raises
-    NumericalError with the kernel's status if the run fails.
+                   w2, cm, k, l, noise, rtol, atol):
+    """Propagate z0 across the output grid t_out on the plant with
+    A = [[0, I], [w2 I, 0]], under the forcing gw = G w; returns the (n, 12)
+    state and (n, 2) control series, or raises NumericalError with the
+    kernel's status if the run fails.
 
     The compiled kernel takes contiguous float ndarrays.  The Python
     kernel takes them as nested lists: an element of a list is a plain
@@ -369,15 +361,16 @@ def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
     out_state = np.empty((len(t_out), 12))
     out_ctrl = np.empty((len(t_out), 2))
     arrays = [np.ascontiguousarray(a, float)
-              for a in (z0, t_out, gw, am, cm, k, l, noise)]
+              for a in (z0, t_out, gw, cm, k, l, noise)]
     work = np.zeros((11, 12))
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
-    z0, t_out, gw, am, cm, k, l, noise = arrays
+    z0, t_out, gw, cm, k, l, noise = arrays
     status = _propagate_impl(z0, t_out, float(mu), gw, method, plant_linear,
-                             ref_moving, am, cm, k, l, noise, float(rtol),
-                             float(atol), _MAX_STEPS, work, out_state, out_ctrl)
+                             ref_moving, float(w2), cm, k, l, noise,
+                             float(rtol), float(atol), _MAX_STEPS, work,
+                             out_state, out_ctrl)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     return out_state, out_ctrl

@@ -483,11 +483,14 @@ def _cmd_lambert(scenario, drift_cfg, response_cfg, outdir, fmt):
         "v2_km_s": [float(v2[0]), float(v2[1])],
         "tof_s": scenario.horizon,
         "closure_residual_km": residual,
+        "closure_rtol": scenario.rtol,
+        "closure_atol": scenario.atol,
     }
     _write_json(outdir / "lambert.json", payload)
     print(f"v1 = ({_fmt(v1[0])}, {_fmt(v1[1])}) km/s")
     print(f"v2 = ({_fmt(v2[0])}, {_fmt(v2[1])}) km/s")
-    print(f"closure residual = {residual:.6g} km")
+    print(f"closure residual = {residual:.6g} km "
+          f"(rtol {scenario.rtol:g}, atol {scenario.atol:g})")
     return 0
 
 

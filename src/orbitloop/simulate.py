@@ -271,8 +271,8 @@ def propagate_two_body(
     noise = np.zeros((max(t.size - 1, 1), 2))
     state, _ = _dopri.propagate_grid(
         z0, t, constants.mu, (0.0, 0.0, a_srp[0], a_srp[1]),
-        _dopri.METHOD_UNCONTROLLED, 0, 0, np.zeros((4, 4)), zeros24, zeros24,
-        zeros24.T, noise, rtol, atol)
+        _dopri.METHOD_UNCONTROLLED, 0, 0, 0.0, zeros24, zeros24, zeros24.T,
+        noise, rtol, atol)
     return state[:, 0:4]
 
 
@@ -378,7 +378,7 @@ def run_scenario(s: Scenario,
     state, ctrl = _dopri.propagate_grid(
         z0, t_out, s.constants.mu, gw, _METHOD_ID[s.method],
         1 if s.plant_mode is PlantMode.LINEAR else 0, ref_moving,
-        d.plant.a, d.plant.c, d.lqr.k, d.l, noise, s.rtol, s.atol,
+        d.plant.a[2, 0], d.plant.c, d.lqr.k, d.l, noise, s.rtol, s.atol,
     )
 
     true_states = state[:, 0:4].copy()

@@ -54,8 +54,8 @@ class Weights:
     r: np.ndarray
 
     def __post_init__(self):
-        q = linalg.as_matrix(self.q, "q")
-        r = linalg.as_matrix(self.r, "r")
+        q = linalg.as_matrix(self.q, "q").copy()
+        r = linalg.as_matrix(self.r, "r").copy()
         for name, m in (("q", q), ("r", r)):
             if m.shape[0] != m.shape[1]:
                 raise DimensionError(f"{name} must be square")

@@ -498,12 +498,21 @@ def test_settling_skips_roundoff_channel():
     assert cli._settling_from_step(t, y, 0.02) == alone
 
 
-def test_lambert_command(tmp_path):
-    path = _write(tmp_path, {})
-    out = tmp_path / "lam"
-    assert cli.dispatch("lambert", path, out, "csv") == 0
-    payload = json.loads((out / "lambert.json").read_text())
-    assert payload["closure_residual_km"] < 1.0
+def test_lambert_command(tmp_path, capsys):
+    # The closure residual is measured by a propagation at the scenario's
+    # tolerances, which are reported next to it.
+    for name, tol in (("default", {}), ("tight", {"rtol": 1e-10,
+                                                  "atol": 1e-11})):
+        path = _write(tmp_path, tol)
+        out = tmp_path / name
+        assert cli.dispatch("lambert", path, out, "csv") == 0
+        payload = json.loads((out / "lambert.json").read_text())
+        assert payload["closure_residual_km"] < 1.0
+        s = ol.Scenario(**tol)
+        assert payload["closure_rtol"] == s.rtol
+        assert payload["closure_atol"] == s.atol
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            f" km (rtol {s.rtol:g}, atol {s.atol:g})")
 
 
 def test_main_entry_point(tmp_path):

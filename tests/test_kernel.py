@@ -126,7 +126,7 @@ def test_nan_error_norm_fails_fast():
             _dopri.propagate_grid(
                 z0, np.array([0.0, 10.0]), ol.PhysicalConstants().mu,
                 [0.0, 0.0, ax, 0.0], _dopri.METHOD_UNCONTROLLED, 0, 0,
-                np.zeros((4, 4)), np.zeros((2, 4)), np.zeros((2, 4)),
+                0.0, np.zeros((2, 4)), np.zeros((2, 4)),
                 np.zeros((4, 2)), np.zeros((1, 2)), rtol, 1e-9)
 
 
@@ -171,18 +171,18 @@ def _run_kernel_source(args, lists):
     """The kernel's Python source on ndarray containers (what numba gets)
     or on list containers (what the Python path gets)."""
     (z0, t_out, mu, gw, method, plant_linear, ref_moving,
-     am, cm, k, l, noise, rtol, atol) = args
-    arrays = [z0, t_out, gw, am, cm, k, l, noise]
+     w2, cm, k, l, noise, rtol, atol) = args
+    arrays = [z0, t_out, gw, cm, k, l, noise]
     work = np.zeros((11, 12))
     if lists:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
-    z0, t_out, gw, am, cm, k, l, noise = arrays
+    z0, t_out, gw, cm, k, l, noise = arrays
     out_state = np.zeros((len(t_out), 12))
     out_ctrl = np.zeros((len(t_out), 2))
     status = _dopri._propagate_impl(
         z0, t_out, mu, gw, method, plant_linear, ref_moving,
-        am, cm, k, l, noise, rtol, atol, _dopri._MAX_STEPS,
+        w2, cm, k, l, noise, rtol, atol, _dopri._MAX_STEPS,
         work, out_state, out_ctrl)
     return out_state, out_ctrl, status
 
@@ -203,7 +203,7 @@ def _run_kernel_source(args, lists):
 def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
     (args,) = _kernel_calls(monkeypatch, scenario)
     # Where numba is installed, run its Python source all the way down.
-    for name in ("_control_impl", "_rhs_impl", "_propagate_impl"):
+    for name in ("_rhs_impl", "_propagate_impl"):
         fn = getattr(_dopri, name)
         monkeypatch.setattr(_dopri, name, getattr(fn, "py_func", fn))
     state_a, ctrl_a, status_a = _run_kernel_source(args, lists=False)
@@ -288,9 +288,94 @@ def test_rhs_matches_numpy_derivative():
         dz = np.zeros(12)
         status = _dopri._rhs_impl(
             z, dz, constants.mu, [0.0, 0.0, ax, ay],
-            _dopri.METHOD_UNCONTROLLED, 0, 1, zeros, zeros[:2], zeros[:2],
+            _dopri.METHOD_UNCONTROLLED, 0, 1, 0.0, zeros[:2], zeros[:2],
             zeros[:, :2], 0.0, 0.0, np.zeros(12))
         assert status == _dopri.STATUS_OK
         _assert_same_derivative(
             dz[0:4], ol.two_body_srp_derivative(state, a_srp=(ax, ay)))
         _assert_same_derivative(dz[8:12], ol.two_body_srp_derivative(state))
+
+
+def _general_product_rows(a, z, gw, method, plant_linear, cm, k, l, nx, ny,
+                          f_x):
+    """dz[0:8] and u by the arithmetic of a general 4x4 A: each row of A z
+    and A e summed from 0.0 left to right over all four columns, with
+    B u = [0, 0, ux, uy].  f_x is the nonlinear plant's forced dynamics."""
+    def row(i, offset):
+        acc = 0.0
+        for j in range(4):
+            acc += a[i][j] * z[offset + j]
+        return acc
+
+    bu = [0.0, 0.0, 0.0, 0.0]
+    if method == _dopri.METHOD_OBSERVER_LQR:
+        for i in range(4):
+            dev = z[i] - z[4 + i] - z[8 + i]
+            bu[2] -= k[0][i] * dev
+            bu[3] -= k[1][i] * dev
+    dz = [row(i, 0) + bu[i] + gw[i] for i in range(4)] if plant_linear \
+        else list(f_x)
+    ce0 = 0.0
+    ce1 = 0.0
+    for j in range(4):
+        ce0 += cm[0][j] * z[4 + j]
+        ce1 += cm[1][j] * z[4 + j]
+    ce0 += nx
+    ce1 += ny
+    for i in range(4):
+        mism = gw[i] if plant_linear else dz[i] - row(i, 0) - bu[i]
+        dz.append(row(i, 4) - (l[i][0] * ce0 + l[i][1] * ce1) + mism)
+    return dz, bu[2:]
+
+
+def _bits(values):
+    return np.asarray(values, float).view(np.uint64)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("radius", [6778.0, 26560.0, 42164.0])
+def test_linear_rows_match_linearize_plant(radius, sign):
+    # The kernel takes A = [[0, I], [w2 I, 0]] as w2 and writes its rows out.
+    # They must give the bits of the general product by linearize_plant's
+    # A, signed zeros included, on both plants and for both observer methods.
+    s = ol.Scenario(x0=ol.OrbitState((radius, 0.0), (0.0, 7.0)),
+                    linearization_sign=sign)
+    d = ol.synthesize_for_scenario(s)
+    a = d.plant.a
+    w2 = a[2, 0]
+    assert w2 == sign * s.constants.mu / radius ** 3
+    assert np.array_equal(a, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                              [w2, 0.0, 0.0, 0.0], [0.0, w2, 0.0, 0.0]])
+    convert = np.ascontiguousarray if _dopri.USING_NUMBA \
+        else (lambda x: np.asarray(x, float).tolist())
+    cm, k, l = (convert(m) for m in (d.plant.c, d.lqr.k, d.l))
+
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, 12)
+        z[0:2] += radius * rng.uniform(0.5, 1.5, 2)
+        z[2:4] *= 8.0
+        z[8:12] += z[0:4]
+        nx, ny = (float(v) for v in rng.uniform(-1e-3, 1e-3, 2))
+        cases.append((z, rng.uniform(-1e-6, 1e-6, 4), nx, ny))
+    negative_zeros = np.full(12, -0.0)
+    negative_zeros[[0, 8]] = radius
+    cases.append((negative_zeros, np.full(4, -0.0), -0.0, -0.0))
+
+    for method in (_dopri.METHOD_OBSERVER_ONLY, _dopri.METHOD_OBSERVER_LQR):
+        for plant_linear in (0, 1):
+            for z, gw, nx, ny in cases:
+                z, gw = convert(z), convert(gw)
+                dz, u = convert(np.zeros(12)), convert(np.zeros(12))
+                status = _dopri._rhs_impl(
+                    z, dz, s.constants.mu, gw, method, plant_linear, 0,
+                    float(w2), cm, k, l, nx, ny, u)
+                assert status == _dopri.STATUS_OK
+                want, want_u = _general_product_rows(
+                    a.tolist(), z, gw, method, plant_linear, cm, k, l,
+                    nx, ny, dz[0:4])
+                np.testing.assert_array_equal(_bits(dz[0:8]), _bits(want))
+                np.testing.assert_array_equal(_bits(dz[8:12]),
+                                              _bits(np.zeros(4)))
+                np.testing.assert_array_equal(_bits(u[0:2]), _bits(want_u))

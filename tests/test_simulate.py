@@ -293,8 +293,10 @@ def test_design_loops_use_its_gains_and_maps():
     # position outputs.
     g = np.array([[0.1, 0.0], [0.0, 0.2], [1.0, 0.3], [-0.2, 0.7]])
     c = 2.0 * np.eye(2, 4)
+    q, r = np.eye(4), np.eye(2)
     d = ol.synthesize_for_scenario(
-        ol.Scenario(disturbance_matrix=g, measurement_matrix=c))
+        ol.Scenario(disturbance_matrix=g, measurement_matrix=c,
+                    weights=ol.Weights(q, r)))
     a, b, k, l = d.plant.a, d.plant.b, d.lqr.k, d.l
     lqr, sep = d.step_loops["lqr"], d.step_loops["observer_lqr"]
     assert np.array_equal(lqr.a, a - b @ k)
@@ -306,8 +308,10 @@ def test_design_loops_use_its_gains_and_maps():
     assert np.array_equal(d.sweep_loops["observer_lqr"].a, a - b @ k - l @ c)
     union = np.concatenate([d.spectra["closed_loop"], d.spectra["observer"]])
     assert spectra_close(d.spectra["separation_loop"], union, tol=1e-6)
-    # The loops freeze copies: the gains and the caller's G stay writable.
+    # The loops and the weights freeze copies: the gains and the caller's G,
+    # q and r stay writable.
     assert g.flags.writeable and k.flags.writeable and l.flags.writeable
+    assert q.flags.writeable and r.flags.writeable
 
 
 def test_compare_methods_synthesis_failure_propagates():
