@@ -168,8 +168,7 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
 
 
 def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
-                    w2, cm, k, l, noise, rtol, atol, max_steps,
-                    work, out_state, out_ctrl):
+                    w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl):
     # Dormand-Prince 5(4) tableau.
     a21 = 1.0 / 5.0
     a31 = 3.0 / 40.0
@@ -238,7 +237,7 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
                 return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_STEPS:
                 return STATUS_STEP_BUDGET
             remaining = t_end - t
             clamped = h >= remaining
@@ -369,8 +368,8 @@ def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
     z0, t_out, gw, cm, k, l, noise = arrays
     status = _propagate_impl(z0, t_out, float(mu), gw, method, plant_linear,
                              ref_moving, float(w2), cm, k, l, noise,
-                             float(rtol), float(atol), _MAX_STEPS, work,
-                             out_state, out_ctrl)
+                             float(rtol), float(atol), work, out_state,
+                             out_ctrl)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     return out_state, out_ctrl

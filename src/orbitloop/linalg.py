@@ -126,18 +126,9 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def rank(m, tol: float | None = None) -> int:
-    """Numerical rank via singular values.
-
-    Default tolerance is max(rows, cols) * eps * sigma_max, the standard
-    SVD rank threshold.
-    """
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * float(s[0])
-    return int(np.sum(s > tol))
+    """Numerical rank via singular values: those above tol, by default
+    sigma_max * max(rows, cols) * eps, the standard SVD rank threshold."""
+    return int(np.linalg.matrix_rank(as_matrix(m), tol))
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:

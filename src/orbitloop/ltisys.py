@@ -40,19 +40,22 @@ MAX_GRID_STEPS = 1_000_000
 
 
 def check_grid(span: float, step: float, name: str):
-    """Raise ValueError unless span and step are positive and a grid of
-    span/step steps stays within MAX_GRID_STEPS."""
-    if not (span > 0 and step > 0):
-        raise ValueError(f"{name} span and step must be positive")
-    if span / step > MAX_GRID_STEPS:
+    """The one rule for every sampling grid: raise ValueError unless
+    0 < step <= span and span/step steps stay within MAX_GRID_STEPS.  It
+    reads span and step alone, so a refused grid allocates nothing."""
+    if not 0 < step <= span:
+        raise ValueError(f"{name} grid needs 0 < step <= span, got step "
+                         f"{float(step)!r} and span {float(span)!r}")
+    if not span / step <= MAX_GRID_STEPS:
         raise ValueError(f"{name} grid of {span / step:.3g} steps exceeds "
                          f"the limit of {MAX_GRID_STEPS}")
 
 
 def uniform_grid(span: float, step: float) -> np.ndarray:
-    """The sampling grid from 0 to span: max(1, round(span / step)) equal
-    intervals, ending exactly at span."""
-    return np.linspace(0.0, span, max(1, int(round(span / step))) + 1)
+    """The sampling grid from 0 to span: round(span / step) equal
+    intervals, ending exactly at span.  span and step must pass
+    check_grid, which makes that at least one interval."""
+    return np.linspace(0.0, span, int(round(span / step)) + 1)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,52 @@ def _assert_input_error(code, capsys):
     assert json.loads(err[0])["error"] == "ScenarioError"
 
 
+def _library_grid(entry, span, step):
+    if entry == "Scenario":
+        return ol.Scenario(horizon=span, output_dt=step).output_grid()
+    if entry == "step_response":
+        sys_ = ol.StateSpace([[-1.0]], [[1.0]], [[1.0]])
+        return ol.step_response(sys_, span, step)[0]
+    return ol.srp_drift_study(span, ol.SpacecraftParams(), ol.SrpConfig(),
+                              ol.Scenario().x0, output_dt=step).times
+
+
+_CLI_GRIDS = {
+    "drift": ("duration_s", "output_dt_s", "drift_series.csv"),
+    "response": ("step_horizon_s", "step_dt_s", "step_response.csv"),
+}
+
+
+@pytest.mark.parametrize("entry", ["Scenario", "step_response",
+                                   "srp_drift_study", "drift", "response"])
+@pytest.mark.parametrize("above", [True, False], ids=["above", "equal"])
+def test_every_grid_keeps_its_step_within_its_span(tmp_path, capsys, entry,
+                                                   above):
+    # One rule, ltisys.check_grid, for every sampling grid: a step just
+    # above its span is refused, in the CLI before any output is written,
+    # and a step equal to it gives exactly one interval, ending at the span.
+    span = 600.0
+    step = np.nextafter(span, np.inf) if above else span
+    if entry in _CLI_GRIDS:
+        span_key, step_key, series = _CLI_GRIDS[entry]
+        path = _write(tmp_path, {entry: {span_key: span, step_key: step}})
+        out = tmp_path / "out"
+        code = cli.dispatch(entry, path, out, "csv")
+        if above:
+            _assert_input_error(code, capsys)
+            assert not out.exists()
+            return
+        assert code == 0
+        t = np.loadtxt(out / series, delimiter=",", skiprows=1)[:, 0]
+    elif above:
+        with pytest.raises(ValueError, match="needs 0 < step <= span"):
+            _library_grid(entry, span, step)
+        return
+    else:
+        t = _library_grid(entry, span, step)
+    assert t.tolist() == [0.0, span]
+
+
 def test_schema_sets_every_field_once():
     # Every dataclass field is set by exactly one JSON key, or is a nested
     # section under its own key, so a field that no scenario file can reach

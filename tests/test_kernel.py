@@ -148,6 +148,16 @@ def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     assert calls
 
 
+@pytest.mark.skipif(_dopri.USING_NUMBA,
+                    reason="the compiled kernel reads _MAX_STEPS when it compiles")
+def test_step_budget_ends_the_run(monkeypatch):
+    # No library run comes near the 50,000,000-step budget, so it is
+    # lowered here to below the steps a 1000 s free flight takes.
+    monkeypatch.setattr(_dopri, "_MAX_STEPS", 10)
+    with pytest.raises(ol.NumericalError, match="exceeded its step budget"):
+        ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1000.0]))
+
+
 def _kernel_calls(monkeypatch, scenario):
     """Arguments of every propagate_grid call that running the scenario
     makes; a run that fails in the kernel still records its call."""
@@ -182,8 +192,7 @@ def _run_kernel_source(args, lists):
     out_ctrl = np.zeros((len(t_out), 2))
     status = _dopri._propagate_impl(
         z0, t_out, mu, gw, method, plant_linear, ref_moving,
-        w2, cm, k, l, noise, rtol, atol, _dopri._MAX_STEPS,
-        work, out_state, out_ctrl)
+        w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl)
     return out_state, out_ctrl, status
 
 
