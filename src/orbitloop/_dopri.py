@@ -25,15 +25,24 @@ USING_NUMBA records the outcome, and BACKEND_REASON the case that chose it:
 backends run the identical source and must give bit-identical outputs;
 perfbench/backends.py checks that on machines that have numba.
 
-State layout: z = [x (true, 4) | e = x - xhat (4) | reference (4)].
-The observer is integrated in (x, e) coordinates, which makes the error
-block's arithmetic independent of the applied control for a linear plant.
-The plant's linearization is A = [[0, I], [w2 I, 0]], passed as w2.  The
-RHS writes u = -K (xhat - r) into the work row `u` and forces the plant by
-B u (B = [0; I]) and the run's constant SRP forcing `gw` = G w.  The first
-RHS call is at z0, and by FSAL ("first same as last", Dormand & Prince
-1980, J. Comput. Appl. Math. 6(1)) each accepted step's last stage, at the
-new state, is the next step's first, so `u` holds each sample's control.
+State layout, known only to this module: z = [x (true, 4) | e = x - xhat
+(4) | reference (4)], which `propagate_grid` takes and returns as three
+blocks.  The observer is integrated in (x, e) coordinates, which makes the
+error block's arithmetic independent of the applied control for a linear
+plant.  The plant's linearization is A = [[0, I], [w2 I, 0]], passed as
+w2.  With the switch `control` the RHS writes u = -K (xhat - r) into the
+work row `u` (else 0), and with `observe` it moves e (else e keeps its
+initial value, 0).  It forces the plant by B u (B = [0; I]) and the run's
+constant SRP forcing `gw` = G w.  The first RHS call is at z0, and by FSAL
+("first same as last", Dormand & Prince 1980, J. Comput. Appl. Math.
+6(1)) each accepted step's last stage, at the new state, is the next
+step's first, so `u` holds each sample's control.
+
+The step controller's RMS error norm divides by all 12 states, frozen
+blocks included (e without `observe`, a constant reference), so a run is
+held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
+with one frozen block (uncontrolled and LQR runs on a moving reference)
+and by sqrt(3) with two (free flight: `drift`, the `lambert` closure).
 """
 
 from __future__ import annotations
@@ -67,11 +76,6 @@ else:
     def _jit(f):
         return f
 
-METHOD_UNCONTROLLED = 0
-METHOD_LQR = 1
-METHOD_OBSERVER_ONLY = 2
-METHOD_OBSERVER_LQR = 3
-
 STATUS_OK = 0
 STATUS_SINGULAR_RADIUS = 1
 STATUS_STEP_UNDERFLOW = 2
@@ -88,7 +92,7 @@ _STATUS_MESSAGES = {
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 
-def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
+def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
               w2, cm, k, l, nx, ny, u):
     # Reference block: a two-body arc, or frozen for a constant setpoint.
     if ref_moving == 1:
@@ -111,7 +115,7 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
     # u = -K (xhat - r), xhat = x - e; e stays 0 without an observer.
     ux = 0.0
     uy = 0.0
-    if method == 1 or method == 3:
+    if control == 1:
         for i in range(4):
             dev = z[i] - z[4 + i] - z[8 + i]
             ux -= k[0][i] * dev
@@ -144,7 +148,7 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
     # the linear plant the model-mismatch term reduces to G w exactly; it is
     # computed directly in that form so the error block's arithmetic never
     # depends on the state or control trajectory.
-    if method >= 2:
+    if observe == 1:
         ce0 = 0.0
         ce1 = 0.0
         for j in range(4):
@@ -167,8 +171,9 @@ def _rhs_impl(z, dz, mu, gw, method, plant_linear, ref_moving,
     return STATUS_OK
 
 
-def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
-                    w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl):
+def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
+                    ref_moving, w2, cm, k, l, noise, rtol, atol, work,
+                    out_state, out_ctrl):
     # Dormand-Prince 5(4) tableau.
     a21 = 1.0 / 5.0
     a31 = 3.0 / 40.0
@@ -212,8 +217,8 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
         z[i] = z0[i]
         out_state[0, i] = z0[i]
     # The first RHS evaluation, at z0, leaves sample 0's control in u.
-    st = _rhs_impl(z, k1, mu, gw, method, plant_linear, ref_moving,
-                   w2, cm, k, l, noise[0][0], noise[0][1], u)
+    st = _rhs_impl(z, k1, mu, gw, control, observe, plant_linear,
+                   ref_moving, w2, cm, k, l, noise[0][0], noise[0][1], u)
     if st != STATUS_OK:
         return st
     out_ctrl[0, 0] = u[0]
@@ -231,8 +236,8 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
             h = min(seg_len, 1.0)
         # FSAL: k1 holds f(z) unless the held noise sample has just changed.
         if seg > 0 and (nx != noise[seg - 1][0] or ny != noise[seg - 1][1]):
-            st = _rhs_impl(z, k1, mu, gw, method, plant_linear, ref_moving,
-                           w2, cm, k, l, nx, ny, u)
+            st = _rhs_impl(z, k1, mu, gw, control, observe, plant_linear,
+                           ref_moving, w2, cm, k, l, nx, ny, u)
             if st != STATUS_OK:
                 return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
@@ -245,35 +250,35 @@ def _propagate_impl(z0, t_out, mu, gw, method, plant_linear, ref_moving,
 
             for i in range(12):
                 ytmp[i] = z[i] + hs * a21 * k1[i]
-            st = _rhs_impl(ytmp, k2, mu, gw, method, plant_linear,
+            st = _rhs_impl(ytmp, k2, mu, gw, control, observe, plant_linear,
                            ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a31 * k1[i] + a32 * k2[i])
-                st = _rhs_impl(ytmp, k3, mu, gw, method, plant_linear,
+                st = _rhs_impl(ytmp, k3, mu, gw, control, observe, plant_linear,
                                ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
-                st = _rhs_impl(ytmp, k4, mu, gw, method, plant_linear,
+                st = _rhs_impl(ytmp, k4, mu, gw, control, observe, plant_linear,
                                ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a51 * k1[i] + a52 * k2[i]
                                            + a53 * k3[i] + a54 * k4[i])
-                st = _rhs_impl(ytmp, k5, mu, gw, method, plant_linear,
+                st = _rhs_impl(ytmp, k5, mu, gw, control, observe, plant_linear,
                                ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     ytmp[i] = z[i] + hs * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
                                            + a64 * k4[i] + a65 * k5[i])
-                st = _rhs_impl(ytmp, k6, mu, gw, method, plant_linear,
+                st = _rhs_impl(ytmp, k6, mu, gw, control, observe, plant_linear,
                                ref_moving, w2, cm, k, l, nx, ny, u)
             if st == STATUS_OK:
                 for i in range(12):
                     znew[i] = z[i] + hs * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i]
                                            + b5 * k5[i] + b6 * k6[i])
-                st = _rhs_impl(znew, k7, mu, gw, method, plant_linear,
+                st = _rhs_impl(znew, k7, mu, gw, control, observe, plant_linear,
                                ref_moving, w2, cm, k, l, nx, ny, u)
 
             if st != STATUS_OK:
@@ -346,12 +351,13 @@ _rhs_impl = _jit(_rhs_impl)
 _propagate_impl = _jit(_propagate_impl)
 
 
-def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
-                   w2, cm, k, l, noise, rtol, atol):
-    """Propagate z0 across the output grid t_out on the plant with
-    A = [[0, I], [w2 I, 0]], under the forcing gw = G w; returns the (n, 12)
-    state and (n, 2) control series, or raises NumericalError with the
-    kernel's status if the run fails.
+def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
+                   plant_linear, ref_moving, w2, cm, k, l, noise, rtol, atol):
+    """Propagate the plant state x0, estimation error e0 and reference r0
+    across the output grid t_out on the plant with A = [[0, I], [w2 I, 0]],
+    under the forcing gw = G w; returns the (n, 4) x, e and r series and
+    the (n, 2) control series u, or raises NumericalError with the kernel's
+    status if the run fails.  `control` and `observe` are the ints 0 or 1.
 
     The compiled kernel takes contiguous float ndarrays.  The Python
     kernel takes them as nested lists: an element of a list is a plain
@@ -359,17 +365,18 @@ def propagate_grid(z0, t_out, mu, gw, method, plant_linear, ref_moving,
     whose arithmetic is several times slower."""
     out_state = np.empty((len(t_out), 12))
     out_ctrl = np.empty((len(t_out), 2))
-    arrays = [np.ascontiguousarray(a, float)
-              for a in (z0, t_out, gw, cm, k, l, noise)]
+    arrays = [np.ascontiguousarray(a, float) for a in
+              (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise)]
     work = np.zeros((11, 12))
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
     z0, t_out, gw, cm, k, l, noise = arrays
-    status = _propagate_impl(z0, t_out, float(mu), gw, method, plant_linear,
-                             ref_moving, float(w2), cm, k, l, noise,
-                             float(rtol), float(atol), work, out_state,
+    status = _propagate_impl(z0, t_out, float(mu), gw, control, observe,
+                             plant_linear, ref_moving, float(w2), cm, k, l,
+                             noise, float(rtol), float(atol), work, out_state,
                              out_ctrl)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
-    return out_state, out_ctrl
+    return (out_state[:, 0:4].copy(), out_state[:, 4:8].copy(),
+            out_state[:, 8:12].copy(), out_ctrl)

@@ -1,8 +1,8 @@
 """Closed-loop scenario execution and evaluation.
 
 A Scenario bundles boundary states, disturbance configuration, weights and
-integrator settings; run_scenario synthesizes the gains, assembles the
-augmented plant-observer-reference system and propagates it with the
+integrator settings; run_scenario synthesizes the gains, sets the initial
+plant state, estimation error and reference and propagates them with the
 adaptive Dormand-Prince kernel.  Four methods are supported: free flight,
 state-feedback LQR on the true state, observer-only estimation without
 control, and observer-based LQR on the estimated state.
@@ -84,13 +84,6 @@ class PlantMode(enum.Enum):
     NONLINEAR = "nonlinear"
     LINEAR = "linear"
 
-
-_METHOD_ID = {
-    Method.UNCONTROLLED: _dopri.METHOD_UNCONTROLLED,
-    Method.LQR: _dopri.METHOD_LQR,
-    Method.OBSERVER_ONLY: _dopri.METHOD_OBSERVER_ONLY,
-    Method.OBSERVER_LQR: _dopri.METHOD_OBSERVER_LQR,
-}
 
 # Fixed baseline values included in comparison reports so computed results
 # can be read side by side with the original analysis; they depend on design
@@ -261,15 +254,14 @@ def propagate_two_body(
     if not all(math.isfinite(a) for a in a_srp):
         raise ValueError("SRP acceleration must be finite")
     t = _check_tgrid(tgrid)
-    z0 = np.zeros(12)
-    z0[0:4] = state0.as_vector()
+    zeros4 = np.zeros(4)
     zeros24 = np.zeros((2, 4))
     noise = np.zeros((max(t.size - 1, 1), 2))
-    state, _ = _dopri.propagate_grid(
-        z0, t, constants.mu, (0.0, 0.0, a_srp[0], a_srp[1]),
-        _dopri.METHOD_UNCONTROLLED, 0, 0, 0.0, zeros24, zeros24, zeros24.T,
-        noise, rtol, atol)
-    return state[:, 0:4]
+    x, _, _, _ = _dopri.propagate_grid(
+        state0.as_vector(), t, zeros4, zeros4, constants.mu,
+        (0.0, 0.0, a_srp[0], a_srp[1]), 0, 0, 0, 0, 0.0, zeros24, zeros24,
+        zeros24.T, noise, rtol, atol)
+    return x
 
 
 class ScenarioDesign(NamedTuple):
@@ -344,20 +336,17 @@ def run_scenario(s: Scenario,
 
     has_observer = s.method in (Method.OBSERVER_ONLY, Method.OBSERVER_LQR)
     t_out = s.output_grid()
-    z0 = np.zeros(12)
-    z0[0:4] = s.x0.as_vector()
-    if has_observer:
-        z0[4:8] = s.x0.as_vector() - s.initial_estimate()
+    x0 = s.x0.as_vector()
+    e0 = x0 - s.initial_estimate() if has_observer else np.zeros(4)
     if s.reference_mode is ReferenceMode.LAMBERT_ARC:
         v1, _ = lambert_solve(
             s.x0.position, s.xf.position, s.horizon,
             s.lambert_direction, s.constants,
         )
-        z0[8:10] = s.x0.position
-        z0[10:12] = v1
+        r0 = (*s.x0.position, *v1)
         ref_moving = 1
     else:
-        z0[8:12] = s.xf.as_vector()
+        r0 = s.xf.as_vector()
         ref_moving = 0
 
     sigma = s.measurement_noise_sigma
@@ -371,28 +360,20 @@ def run_scenario(s: Scenario,
 
     # G w row by row, not as d.g @ a_srp, whose summation order is BLAS's.
     gw = d.g[:, 0] * a_srp[0] + d.g[:, 1] * a_srp[1]
-    state, ctrl = _dopri.propagate_grid(
-        z0, t_out, s.constants.mu, gw, _METHOD_ID[s.method],
-        1 if s.plant_mode is PlantMode.LINEAR else 0, ref_moving,
+    x, e, r, u = _dopri.propagate_grid(
+        x0, t_out, e0, r0, s.constants.mu, gw,
+        int(s.method in (Method.LQR, Method.OBSERVER_LQR)), int(has_observer),
+        int(s.plant_mode is PlantMode.LINEAR), ref_moving,
         d.plant.a[2, 0], d.plant.c, d.lqr.k, d.l, noise, s.rtol, s.atol,
     )
-
-    true_states = state[:, 0:4].copy()
-    reference = state[:, 8:12].copy()
-    if has_observer:
-        err = state[:, 4:8].copy()
-        estimates = true_states - err
-    else:
-        err = None
-        estimates = None
     return SimulationRecord(
         method=s.method,
         times=t_out,
-        true_states=true_states,
-        controls=ctrl,
-        reference=reference,
-        estimates=estimates,
-        estimation_error=err,
+        true_states=x,
+        controls=u,
+        reference=r,
+        estimates=x - e if has_observer else None,
+        estimation_error=e if has_observer else None,
     )
 
 

@@ -119,13 +119,12 @@ def test_nan_error_norm_fails_fast():
     # step size, NaN.  The step-size guards must end the run at once
     # instead of retrying until the 50,000,000-step budget.  Every library
     # entry point refuses NaN, so the kernel is called directly.
-    z0 = np.zeros(12)
-    z0[0:4] = ol.Scenario().x0.as_vector()
+    x0 = ol.Scenario().x0.as_vector()
     for rtol, ax in ((math.nan, 0.0), (1e-8, math.nan)):
         with pytest.raises(ol.NumericalError, match="underflowed"):
             _dopri.propagate_grid(
-                z0, np.array([0.0, 10.0]), ol.PhysicalConstants().mu,
-                [0.0, 0.0, ax, 0.0], _dopri.METHOD_UNCONTROLLED, 0, 0,
+                x0, np.array([0.0, 10.0]), np.zeros(4), np.zeros(4),
+                ol.PhysicalConstants().mu, [0.0, 0.0, ax, 0.0], 0, 0, 0, 0,
                 0.0, np.zeros((2, 4)), np.zeros((2, 4)),
                 np.zeros((4, 2)), np.zeros((1, 2)), rtol, 1e-9)
 
@@ -158,9 +157,10 @@ def test_step_budget_ends_the_run(monkeypatch):
         ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1000.0]))
 
 
-def _kernel_calls(monkeypatch, scenario):
-    """Arguments of every propagate_grid call that running the scenario
-    makes; a run that fails in the kernel still records its call."""
+def _kernel_calls(monkeypatch, run):
+    """Arguments of every propagate_grid call that run() makes, all of
+    them positional; a run that fails in the kernel still records its
+    call."""
     calls = []
     wrapper = _dopri.propagate_grid
 
@@ -170,19 +170,30 @@ def _kernel_calls(monkeypatch, scenario):
 
     monkeypatch.setattr(_dopri, "propagate_grid", record)
     try:
-        ol.run_scenario(scenario)
+        run()
     except ol.NumericalError:
         pass
     monkeypatch.setattr(_dopri, "propagate_grid", wrapper)
     return calls
 
 
+def test_kernel_calls_pass_the_output_grid_second(monkeypatch):
+    # perfbench/spans.py counts dopri.output_samples as len(args[1]) of each
+    # propagate_grid call, so every caller must pass the output grid there.
+    s = ol.Scenario(horizon=20.0, output_dt=0.5)
+    t = np.linspace(0.0, 30.0, 7)
+    for run, grid in ((lambda: ol.run_scenario(s), s.output_grid()),
+                      (lambda: ol.propagate_two_body(s.x0, t), t)):
+        (args,) = _kernel_calls(monkeypatch, run)
+        assert np.array_equal(args[1], grid)
+
+
 def _run_kernel_source(args, lists):
     """The kernel's Python source on ndarray containers (what numba gets)
     or on list containers (what the Python path gets)."""
-    (z0, t_out, mu, gw, method, plant_linear, ref_moving,
+    (x0, t_out, e0, r0, mu, gw, control, observe, plant_linear, ref_moving,
      w2, cm, k, l, noise, rtol, atol) = args
-    arrays = [z0, t_out, gw, cm, k, l, noise]
+    arrays = [np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise]
     work = np.zeros((11, 12))
     if lists:
         arrays = [a.tolist() for a in arrays]
@@ -191,7 +202,7 @@ def _run_kernel_source(args, lists):
     out_state = np.zeros((len(t_out), 12))
     out_ctrl = np.zeros((len(t_out), 2))
     status = _dopri._propagate_impl(
-        z0, t_out, mu, gw, method, plant_linear, ref_moving,
+        z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
         w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl)
     return out_state, out_ctrl, status
 
@@ -203,14 +214,23 @@ def _run_kernel_source(args, lists):
                  method=ol.Method.OBSERVER_LQR,
                  measurement_noise_sigma=(0.001, 0.001)),
      _dopri.STATUS_OK),
+    # Observing without control, on the linear plant, toward a frozen
+    # reference.
+    (ol.Scenario(horizon=50.0, output_dt=0.5,
+                 method=ol.Method.OBSERVER_ONLY,
+                 plant_mode=ol.PlantMode.LINEAR,
+                 reference_mode=ol.ReferenceMode.CONSTANT_SETPOINT,
+                 measurement_noise_sigma=(0.001, 0.002)),
+     _dopri.STATUS_OK),
     # The plunge of test_kernel_status_singular_radius.
     (ol.Scenario(x0=ol.OrbitState((7000.0, 0.0), (-9.0, 0.0)),
                  horizon=2000.0, output_dt=1.0,
                  method=ol.Method.UNCONTROLLED),
      _dopri.STATUS_SINGULAR_RADIUS),
-], ids=["lqr", "observer_lqr_noisy", "singular_radius"])
+], ids=["lqr", "observer_lqr_noisy", "observer_only_linear_setpoint_noisy",
+        "singular_radius"])
 def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
-    (args,) = _kernel_calls(monkeypatch, scenario)
+    (args,) = _kernel_calls(monkeypatch, lambda: ol.run_scenario(scenario))
     # Where numba is installed, run its Python source all the way down.
     for name in ("_rhs_impl", "_propagate_impl"):
         fn = getattr(_dopri, name)
@@ -297,7 +317,7 @@ def test_rhs_matches_numpy_derivative():
         dz = np.zeros(12)
         status = _dopri._rhs_impl(
             z, dz, constants.mu, [0.0, 0.0, ax, ay],
-            _dopri.METHOD_UNCONTROLLED, 0, 1, 0.0, zeros[:2], zeros[:2],
+            0, 0, 0, 1, 0.0, zeros[:2], zeros[:2],
             zeros[:, :2], 0.0, 0.0, np.zeros(12))
         assert status == _dopri.STATUS_OK
         _assert_same_derivative(
@@ -305,7 +325,7 @@ def test_rhs_matches_numpy_derivative():
         _assert_same_derivative(dz[8:12], ol.two_body_srp_derivative(state))
 
 
-def _general_product_rows(a, z, gw, method, plant_linear, cm, k, l, nx, ny,
+def _general_product_rows(a, z, gw, control, plant_linear, cm, k, l, nx, ny,
                           f_x):
     """dz[0:8] and u by the arithmetic of a general 4x4 A: each row of A z
     and A e summed from 0.0 left to right over all four columns, with
@@ -317,7 +337,7 @@ def _general_product_rows(a, z, gw, method, plant_linear, cm, k, l, nx, ny,
         return acc
 
     bu = [0.0, 0.0, 0.0, 0.0]
-    if method == _dopri.METHOD_OBSERVER_LQR:
+    if control == 1:
         for i in range(4):
             dev = z[i] - z[4 + i] - z[8 + i]
             bu[2] -= k[0][i] * dev
@@ -372,17 +392,17 @@ def test_linear_rows_match_linearize_plant(radius, sign):
     negative_zeros[[0, 8]] = radius
     cases.append((negative_zeros, np.full(4, -0.0), -0.0, -0.0))
 
-    for method in (_dopri.METHOD_OBSERVER_ONLY, _dopri.METHOD_OBSERVER_LQR):
+    for control in (0, 1):
         for plant_linear in (0, 1):
             for z, gw, nx, ny in cases:
                 z, gw = convert(z), convert(gw)
                 dz, u = convert(np.zeros(12)), convert(np.zeros(12))
                 status = _dopri._rhs_impl(
-                    z, dz, s.constants.mu, gw, method, plant_linear, 0,
+                    z, dz, s.constants.mu, gw, control, 1, plant_linear, 0,
                     float(w2), cm, k, l, nx, ny, u)
                 assert status == _dopri.STATUS_OK
                 want, want_u = _general_product_rows(
-                    a.tolist(), z, gw, method, plant_linear, cm, k, l,
+                    a.tolist(), z, gw, control, plant_linear, cm, k, l,
                     nx, ny, dz[0:4])
                 np.testing.assert_array_equal(_bits(dz[0:8]), _bits(want))
                 np.testing.assert_array_equal(_bits(dz[8:12]),
