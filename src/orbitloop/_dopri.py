@@ -1,15 +1,30 @@
 """Adaptive Dormand-Prince 4(5) propagation kernel (the hot loop).
 
-One function advances the 12-state closed-loop system — true plant,
+A stepper advances the 12-state closed-loop system — true plant,
 observer estimation error, and reference arc — between output grid points,
 honoring rtol/atol and landing exactly on every grid time (so piecewise-
 constant measurement noise never straddles a sample interval).
 
-The kernel is written once, indexing its 2-D inputs as x[i][j], and
-`propagate_grid`, its only wrapper, picks its containers: ndarrays on the
-numba path, plain Python floats and lists on the Python path.  Either way
-the kernel fills preallocated ndarray outputs and allocates nothing itself,
-and `propagate_grid` raises NumericalError for any status but STATUS_OK.
+The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
+by `_stepper_source`, one per layout of moving blocks: the plant always
+moves, the error block with `observe`, the reference with `ref_moving`.  It
+holds the 12 states and each stage's derivatives in local variables, and
+its RHS calls go to `_rhs_impl`, one hand-written function for every
+layout, which it looks up in this module when it runs.  `_propagate_impl`
+picks the layout's stepper, which `_stepper` builds on the layout's first
+run and caches: no stepper is built at import.
+
+A frozen block (e without `observe`, a constant reference) has derivative
++0.0 at every stage, and every tableau-weighted sum of those is +0.0, so
+each stage input and the new state of a frozen lane is z_i + 0.0: the
+stepper computes that once per step attempt.  A -0.0 in such a lane thus
+turns into +0.0 with the first step, as stepping lane by lane gives.
+
+The kernel indexes its 2-D inputs as x[i][j], and `propagate_grid`, its
+only wrapper, picks its containers: ndarrays on the numba path, plain
+Python floats and lists on the Python path.  Either way the kernel fills
+preallocated ndarray outputs and allocates nothing itself, and
+`propagate_grid` raises NumericalError for any status but STATUS_OK.
 
 The backend is chosen once, at import, by three cases:
 
@@ -18,7 +33,9 @@ The backend is chosen once, at import, by three cases:
 - the flag is unset and numba cannot be imported: the pure-Python kernel
   runs.  numba is an optional extra (``pip install orbitloop[jit]``), so
   this is a supported configuration, not an error;
-- the flag is unset and numba imports: the kernel is compiled with @njit.
+- the flag is unset and numba imports: the kernel is compiled with @njit,
+  the RHS with numba's disk cache and each stepper, which has no source
+  file to cache against, without it.
 
 USING_NUMBA records the outcome, and BACKEND_REASON the case that chose it:
 "ORBITLOOP_NO_NUMBA set", "numba missing" or "numba available".  Both
@@ -38,8 +55,8 @@ constant SRP forcing `gw` = G w.  The first RHS call is at z0, and by FSAL
 6(1)) each accepted step's last stage, at the new state, is the next
 step's first, so `u` holds each sample's control.
 
-The step controller's RMS error norm divides by all 12 states, frozen
-blocks included (e without `observe`, a constant reference), so a run is
+The step controller's RMS error norm skips the frozen lanes, whose terms
+are +0.0, but divides by all 12 states, frozen blocks included, so a run is
 held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
 with one frozen block (uncontrolled and LQR runs on a moving reference)
 and by sqrt(3) with two (free flight: `drift`, the `lambert` closure).
@@ -47,8 +64,9 @@ and by sqrt(3) with two (free flight: `drift`, the `lambert` closure).
 
 from __future__ import annotations
 
-import math
+import functools
 import os
+import sys
 
 import numpy as np
 
@@ -70,10 +88,10 @@ else:
         BACKEND_REASON = "numba missing"
 
 if USING_NUMBA:
-    def _jit(f):
-        return njit(cache=True, fastmath=False)(f)
+    def _jit(f, cache=True):
+        return njit(cache=cache, fastmath=False)(f)
 else:
-    def _jit(f):
+    def _jit(f, cache=True):
         return f
 
 STATUS_OK = 0
@@ -94,133 +112,139 @@ _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
               w2, cm, k, l, nx, ny, u):
+    x0, x1, x2, x3, e0, e1, e2, e3, r0, r1, r2, r3 = z
+    g0, g1, g2, g3 = gw
+
     # Reference block: a two-body arc, or frozen for a constant setpoint.
     if ref_moving == 1:
-        rp = z[8]
-        rq = z[9]
-        rr = (rp * rp + rq * rq) ** 0.5
+        rr = (r0 * r0 + r1 * r1) ** 0.5
         if rr < 1.0:
             return STATUS_SINGULAR_RADIUS
         rr3 = rr * rr * rr
-        dz[8] = z[10]
-        dz[9] = z[11]
-        dz[10] = -mu * rp / rr3
-        dz[11] = -mu * rq / rr3
+        dz[8] = r2
+        dz[9] = r3
+        dz[10] = -mu * r0 / rr3
+        dz[11] = -mu * r1 / rr3
     else:
         dz[8] = 0.0
         dz[9] = 0.0
         dz[10] = 0.0
         dz[11] = 0.0
 
-    # u = -K (xhat - r), xhat = x - e; e stays 0 without an observer.
+    # u = -K (xhat - r), xhat = x - e; e stays 0 without an observer.  The
+    # sums start from 0.0, so u is +0.0, never -0.0, when every term is 0.
     ux = 0.0
     uy = 0.0
     if control == 1:
-        for i in range(4):
-            dev = z[i] - z[4 + i] - z[8 + i]
-            ux -= k[0][i] * dev
-            uy -= k[1][i] * dev
+        d0 = x0 - e0 - r0
+        d1 = x1 - e1 - r1
+        d2 = x2 - e2 - r2
+        d3 = x3 - e3 - r3
+        k00, k01, k02, k03 = k[0]
+        k10, k11, k12, k13 = k[1]
+        ux = 0.0 - k00 * d0 - k01 * d1 - k02 * d2 - k03 * d3
+        uy = 0.0 - k10 * d0 - k11 * d1 - k12 * d2 - k13 * d3
     u[0] = ux
     u[1] = uy
 
     # True plant: nonlinear two-body gravity or the linearized model, forced
-    # by B u and G w either way.  Rows of A z start from 0.0, as a summed
-    # product does, so a -0.0 term still gives +0.0.
+    # by B u and G w either way.  The velocity rows of A z start from 0.0,
+    # as a summed product does, so a -0.0 velocity still gives +0.0.  The
+    # acceleration rows need no such start: ux and uy are never -0.0.
     if plant_linear == 1:
-        dz[0] = 0.0 + z[2] + gw[0]
-        dz[1] = 0.0 + z[3] + gw[1]
-        dz[2] = 0.0 + w2 * z[0] + ux + gw[2]
-        dz[3] = 0.0 + w2 * z[1] + uy + gw[3]
+        f0 = 0.0 + x2 + g0
+        f1 = 0.0 + x3 + g1
+        f2 = w2 * x0 + ux + g2
+        f3 = w2 * x1 + uy + g3
     else:
-        p = z[0]
-        q = z[1]
-        r = (p * p + q * q) ** 0.5
-        if r < 1.0:
+        rad = (x0 * x0 + x1 * x1) ** 0.5
+        if rad < 1.0:
             return STATUS_SINGULAR_RADIUS
-        r3 = r * r * r
-        dz[0] = z[2] + gw[0]
-        dz[1] = z[3] + gw[1]
-        dz[2] = -mu * p / r3 + gw[2] + ux
-        dz[3] = -mu * q / r3 + gw[3] + uy
+        rad3 = rad * rad * rad
+        f0 = x2 + g0
+        f1 = x3 + g1
+        f2 = -mu * x0 / rad3 + g2 + ux
+        f3 = -mu * x1 / rad3 + g3 + uy
+    dz[0] = f0
+    dz[1] = f1
+    dz[2] = f2
+    dz[3] = f3
 
     # Estimation-error block:  de = (A - L C) e + (f(x) - A x - B u) - L nu,
-    # with f(x) the full forced true dynamics already stored in dz[0:4].  On
-    # the linear plant the model-mismatch term reduces to G w exactly; it is
-    # computed directly in that form so the error block's arithmetic never
-    # depends on the state or control trajectory.
+    # with f(x) the full forced true dynamics f0 to f3.  On the linear plant
+    # the model-mismatch term reduces to G w exactly; it is computed directly
+    # in that form so the error block's arithmetic never depends on the
+    # state or control trajectory.  The mismatch's A x terms need no 0.0
+    # start: the sign of a zero there cannot reach dz, because the mismatch
+    # is added last to a sum that starts from 0.0 and ends in a
+    # subtraction, which is never -0.0.
     if observe == 1:
-        ce0 = 0.0
-        ce1 = 0.0
-        for j in range(4):
-            ce0 += cm[0][j] * z[4 + j]
-            ce1 += cm[1][j] * z[4 + j]
-        ce0 += nx
-        ce1 += ny
-        lin = plant_linear == 1
-        m0 = gw[0] if lin else dz[0] - (0.0 + z[2])
-        m1 = gw[1] if lin else dz[1] - (0.0 + z[3])
-        m2 = gw[2] if lin else dz[2] - (0.0 + w2 * z[0]) - ux
-        m3 = gw[3] if lin else dz[3] - (0.0 + w2 * z[1]) - uy
-        dz[4] = 0.0 + z[6] - (l[0][0] * ce0 + l[0][1] * ce1) + m0
-        dz[5] = 0.0 + z[7] - (l[1][0] * ce0 + l[1][1] * ce1) + m1
-        dz[6] = 0.0 + w2 * z[4] - (l[2][0] * ce0 + l[2][1] * ce1) + m2
-        dz[7] = 0.0 + w2 * z[5] - (l[3][0] * ce0 + l[3][1] * ce1) + m3
+        c00, c01, c02, c03 = cm[0]
+        c10, c11, c12, c13 = cm[1]
+        ce0 = 0.0 + c00 * e0 + c01 * e1 + c02 * e2 + c03 * e3 + nx
+        ce1 = 0.0 + c10 * e0 + c11 * e1 + c12 * e2 + c13 * e3 + ny
+        if plant_linear == 1:
+            m0 = g0
+            m1 = g1
+            m2 = g2
+            m3 = g3
+        else:
+            m0 = f0 - x2
+            m1 = f1 - x3
+            m2 = f2 - w2 * x0 - ux
+            m3 = f3 - w2 * x1 - uy
+        l00, l01 = l[0]
+        l10, l11 = l[1]
+        l20, l21 = l[2]
+        l30, l31 = l[3]
+        dz[4] = 0.0 + e2 - (l00 * ce0 + l01 * ce1) + m0
+        dz[5] = 0.0 + e3 - (l10 * ce0 + l11 * ce1) + m1
+        dz[6] = 0.0 + w2 * e0 - (l20 * ce0 + l21 * ce1) + m2
+        dz[7] = 0.0 + w2 * e1 - (l30 * ce0 + l31 * ce1) + m3
     else:
-        for i in range(4):
-            dz[4 + i] = 0.0
+        dz[4] = 0.0
+        dz[5] = 0.0
+        dz[6] = 0.0
+        dz[7] = 0.0
     return STATUS_OK
 
 
-def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
-                    ref_moving, w2, cm, k, l, noise, rtol, atol, work,
-                    out_state, out_ctrl):
-    # Dormand-Prince 5(4) tableau.
-    a21 = 1.0 / 5.0
-    a31 = 3.0 / 40.0
-    a32 = 9.0 / 40.0
-    a41 = 44.0 / 45.0
-    a42 = -56.0 / 15.0
-    a43 = 32.0 / 9.0
-    a51 = 19372.0 / 6561.0
-    a52 = -25360.0 / 2187.0
-    a53 = 64448.0 / 6561.0
-    a54 = -212.0 / 729.0
-    a61 = 9017.0 / 3168.0
-    a62 = -355.0 / 33.0
-    a63 = 46732.0 / 5247.0
-    a64 = 49.0 / 176.0
-    a65 = -5103.0 / 18656.0
-    b1 = 35.0 / 384.0
-    b3 = 500.0 / 1113.0
-    b4 = 125.0 / 192.0
-    b5 = -2187.0 / 6784.0
-    b6 = 11.0 / 84.0
-    e1 = 71.0 / 57600.0
-    e3 = -71.0 / 16695.0
-    e4 = 71.0 / 1920.0
-    e5 = -17253.0 / 339200.0
-    e6 = 22.0 / 525.0
-    e7 = -1.0 / 40.0
+_rhs_impl = _jit(_rhs_impl)
 
-    z = work[0]
-    znew = work[1]
-    ytmp = work[2]
-    k1 = work[3]
-    k2 = work[4]
-    k3 = work[5]
-    k4 = work[6]
-    k5 = work[7]
-    k6 = work[8]
-    k7 = work[9]
-    u = work[10]  # the control (ux, uy) at the last RHS evaluation
-    for i in range(12):
-        z[i] = z0[i]
-        out_state[0, i] = z0[i]
+
+# Dormand & Prince (1980) 5(4) tableau: the stage rows a_sj of stages 2 to
+# 6, the fifth-order weights b_j that give the new state (whose derivative
+# is stage 7, the next step's stage 1 by FSAL), and the error weights
+# e_j = b_j - b*_j.  A zero weight drops its stage from the sum.
+_TABLEAU_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_TABLEAU_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+              22 / 525, -1 / 40)
+
+# The stepper's source.  A line "@name" stands for the generated block
+# `name`, at that line's indentation; lane i's state is the local z_i, its
+# stage-s derivative ks_i, and its new state zn_i.
+_STEPPER_TEMPLATE = '''
+def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
+            w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl):
+    z = work[0]  # the state, stored only for an RHS call at it
+    ytmp = work[1]  # the stage input
+    dz = work[2]  # the stage derivative
+    u = work[3]  # the control (ux, uy) at the last RHS evaluation
+    @load_z0
+    @store_sample_0
     # The first RHS evaluation, at z0, leaves sample 0's control in u.
-    st = _rhs_impl(z, k1, mu, gw, control, observe, plant_linear,
+    st = _rhs_impl(z0, dz, mu, gw, control, observe, plant_linear,
                    ref_moving, w2, cm, k, l, noise[0][0], noise[0][1], u)
     if st != STATUS_OK:
         return st
+    @unpack_k1
     out_ctrl[0, 0] = u[0]
     out_ctrl[0, 1] = u[1]
 
@@ -236,10 +260,12 @@ def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
             h = min(seg_len, 1.0)
         # FSAL: k1 holds f(z) unless the held noise sample has just changed.
         if seg > 0 and (nx != noise[seg - 1][0] or ny != noise[seg - 1][1]):
-            st = _rhs_impl(z, k1, mu, gw, control, observe, plant_linear,
+            @store_z
+            st = _rhs_impl(z, dz, mu, gw, control, observe, plant_linear,
                            ref_moving, w2, cm, k, l, nx, ny, u)
             if st != STATUS_OK:
                 return st
+            @unpack_k1
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
             steps += 1
             if steps > _MAX_STEPS:
@@ -248,39 +274,8 @@ def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
             clamped = h >= remaining
             hs = remaining if clamped else h
 
-            for i in range(12):
-                ytmp[i] = z[i] + hs * a21 * k1[i]
-            st = _rhs_impl(ytmp, k2, mu, gw, control, observe, plant_linear,
-                           ref_moving, w2, cm, k, l, nx, ny, u)
-            if st == STATUS_OK:
-                for i in range(12):
-                    ytmp[i] = z[i] + hs * (a31 * k1[i] + a32 * k2[i])
-                st = _rhs_impl(ytmp, k3, mu, gw, control, observe, plant_linear,
-                               ref_moving, w2, cm, k, l, nx, ny, u)
-            if st == STATUS_OK:
-                for i in range(12):
-                    ytmp[i] = z[i] + hs * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
-                st = _rhs_impl(ytmp, k4, mu, gw, control, observe, plant_linear,
-                               ref_moving, w2, cm, k, l, nx, ny, u)
-            if st == STATUS_OK:
-                for i in range(12):
-                    ytmp[i] = z[i] + hs * (a51 * k1[i] + a52 * k2[i]
-                                           + a53 * k3[i] + a54 * k4[i])
-                st = _rhs_impl(ytmp, k5, mu, gw, control, observe, plant_linear,
-                               ref_moving, w2, cm, k, l, nx, ny, u)
-            if st == STATUS_OK:
-                for i in range(12):
-                    ytmp[i] = z[i] + hs * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
-                                           + a64 * k4[i] + a65 * k5[i])
-                st = _rhs_impl(ytmp, k6, mu, gw, control, observe, plant_linear,
-                               ref_moving, w2, cm, k, l, nx, ny, u)
-            if st == STATUS_OK:
-                for i in range(12):
-                    znew[i] = z[i] + hs * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i]
-                                           + b5 * k5[i] + b6 * k6[i])
-                st = _rhs_impl(znew, k7, mu, gw, control, observe, plant_linear,
-                               ref_moving, w2, cm, k, l, nx, ny, u)
-
+            @frozen_lanes
+            @stages
             if st != STATUS_OK:
                 # A stage left the admissible region: retry with a smaller
                 # step, declaring the singularity only once h underflows.
@@ -288,30 +283,15 @@ def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
                 if not h >= 1e-12 * max(1.0, abs(t)):
                     return st
                 continue
+            @unpack_k7
 
-            err_norm2 = 0.0
-            for i in range(12):
-                err_i = hs * (e1 * k1[i] + e3 * k3[i] + e4 * k4[i]
-                              + e5 * k5[i] + e6 * k6[i] + e7 * k7[i])
-                big = abs(z[i])
-                if abs(znew[i]) > big:
-                    big = abs(znew[i])
-                scale = atol + rtol * big
-                ratio = err_i / scale
-                err_norm2 += ratio * ratio
+            @error_norm
             norm = (err_norm2 / 12.0) ** 0.5
 
             if norm <= 1.0:
-                ok = True
-                for i in range(12):
-                    if not math.isfinite(znew[i]):
-                        ok = False
-                if not ok:
-                    return STATUS_NOT_FINITE
+                @check_finite
                 t = t_end if clamped else t + hs
-                for i in range(12):
-                    z[i] = znew[i]
-                    k1[i] = k7[i]  # FSAL
+                @accept
                 if norm == 0.0:
                     factor = 5.0
                 else:
@@ -336,19 +316,128 @@ def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
                 if not h >= 1e-12 * max(1.0, abs(t)):
                     return STATUS_STEP_UNDERFLOW
 
-        for i in range(12):
-            out_state[seg + 1, i] = z[i]
+        @store_sample
         # The last RHS call was at z, so u holds the control there.
         out_ctrl[seg + 1, 0] = u[0]
         out_ctrl[seg + 1, 1] = u[1]
 
     return STATUS_OK
+'''
+
+_RHS_CALL = ("st = _rhs_impl(ytmp, dz, mu, gw, control, observe, plant_linear,"
+             " ref_moving, w2, cm, k, l, nx, ny, u)")
+# True exactly when zn_i is finite: NaN fails every comparison.
+_FINITE = f"{-sys.float_info.max!r} <= zn_{{}} <= {sys.float_info.max!r}"
 
 
-# Rebind the RHS first so the stepper resolves the jitted RHS when numba
-# compiles it on first call.
-_rhs_impl = _jit(_rhs_impl)
-_propagate_impl = _jit(_propagate_impl)
+def _stepper_source(observe, ref_moving):
+    """The straight-line stepper for one layout of moving blocks: the plant
+    always, the error block with `observe`, the reference with
+    `ref_moving`.  Each weighted sum runs left to right, in stage order,
+    over the nonzero weights."""
+    lanes = range(12)
+    moving = [i for i in lanes
+              if i < 4 or (observe if i < 8 else ref_moving)]
+    frozen = [i for i in lanes if i not in moving]
+
+    def names(item, which=moving):
+        return ", ".join(map(item.format, which))
+
+    def assign(target, values):
+        return [f"{target} = (", *(f"    {v}," for v in values), ")"]
+
+    def store(row, item, which=moving):
+        return [f"{row}[{i}] = {item(i)}" for i in which]
+
+    def unpack(s):
+        lhs = ", ".join(f"k{s}_{i}" if i in moving else "_" for i in lanes)
+        return [f"{lhs} = dz"]
+
+    def weighted(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}"
+                          for j, w in enumerate(weights, 1) if w)
+
+    def stage_sum(weights, i):
+        if sum(1 for w in weights if w) == 1:
+            # Stage 2 is z + hs * a21 * k1, which rounds as (hs * a21) * k1.
+            return f"z_{i} + hs * {weighted(weights, i)}"
+        return f"z_{i} + hs * ({weighted(weights, i)})"
+
+    stages = []
+    for s, weights in enumerate(_TABLEAU_A, 2):
+        body = (unpack(s - 1) if s > 2 else []) \
+            + store("ytmp", lambda i: stage_sum(weights, i)) + [_RHS_CALL]
+        stages += body if s == 2 else \
+            ["if st == STATUS_OK:", *("    " + line for line in body)]
+    body = unpack(6) \
+        + assign(names("zn_{}"), (stage_sum(_TABLEAU_B, i) for i in moving)) \
+        + store("ytmp", "zn_{}".format) + [_RHS_CALL]
+    stages += ["if st == STATUS_OK:", *("    " + line for line in body)]
+
+    # A frozen lane's error term is +0.0 and adds nothing.  max(a, b) is b
+    # only when b > a: a NaN z_i makes the norm NaN, and a NaN zn_i is left
+    # to the finiteness check.
+    error_norm = assign(names("q_{}"), (
+        f"hs * ({weighted(_TABLEAU_E, i)})"
+        f" / (atol + rtol * max(abs(z_{i}), abs(zn_{i})))" for i in moving))
+    error_norm.append("err_norm2 = 0.0 + "
+                      + " + ".join(f"q_{i} * q_{i}" for i in moving))
+
+    blocks = {
+        "load_z0": [f"{names('z_{}', lanes)} = z0"],
+        "store_sample_0": [f"out_state[0] = {names('z_{}', lanes)}"],
+        "store_z": store("z", "z_{}".format, lanes),
+        "unpack_k1": unpack(1),
+        # Each stage derivative of a frozen lane is +0.0, and so is every
+        # tableau-weighted sum of them: its stage inputs and new state are
+        # all z_i + 0.0.
+        "frozen_lanes": ([f"{names('zn_{}', frozen)} = "
+                          f"{names('z_{} + 0.0', frozen)}"] if frozen else [])
+        + store("ytmp", "zn_{}".format, frozen),
+        "stages": stages,
+        "unpack_k7": unpack(7),
+        "error_norm": error_norm,
+        "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
+                         "    return STATUS_NOT_FINITE"],
+        "accept": [f"{names('z_{}', lanes)} = {names('zn_{}', lanes)}",
+                   f"{names('k1_{}')} = {names('k7_{}')}"],
+        "store_sample": [f"out_state[seg + 1] = {names('z_{}', lanes)}"],
+    }
+    out = []
+    for line in _STEPPER_TEMPLATE.splitlines():
+        name = line.strip()
+        if name.startswith("@"):
+            indent = line[:len(line) - len(line.lstrip())]
+            out += [indent + block_line for block_line in blocks[name[1:]]]
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _build_stepper(observe, ref_moving):
+    """The stepper for one layout, as a Python function.  Its globals are
+    this module's, so it looks _rhs_impl and _MAX_STEPS up here when it
+    runs: perfbench counts RHS calls by rebinding _rhs_impl."""
+    name = f"<dopri stepper observe={observe:d} ref_moving={ref_moving:d}>"
+    namespace = {}
+    exec(compile(_stepper_source(observe, ref_moving), name, "exec"),
+         globals(), namespace)
+    return namespace["stepper"]
+
+
+# Built on a layout's first run, not at import; numba cannot cache a
+# function that has no source file.
+@functools.cache
+def _stepper(observe, ref_moving):
+    return _jit(_build_stepper(observe, ref_moving), cache=False)
+
+
+def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
+                    ref_moving, w2, cm, k, l, noise, rtol, atol, work,
+                    out_state, out_ctrl):
+    return _stepper(observe == 1, ref_moving == 1)(
+        z0, t_out, mu, gw, control, observe, plant_linear, ref_moving, w2,
+        cm, k, l, noise, rtol, atol, work, out_state, out_ctrl)
 
 
 def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
@@ -367,7 +456,7 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     out_ctrl = np.empty((len(t_out), 2))
     arrays = [np.ascontiguousarray(a, float) for a in
               (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise)]
-    work = np.zeros((11, 12))
+    work = np.zeros((4, 12))
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()

@@ -22,6 +22,7 @@ __all__ = [
     "controllability_matrix",
     "observability_matrix",
     "stability_class",
+    "spectrum_stability",
     "transfer_eval",
     "frequency_response",
     "default_frequency_grid",
@@ -129,8 +130,14 @@ def stability_class(a) -> Stability:
     marginal verdict is spectral only.
     """
     am = linalg.as_matrix(a)
-    lam = linalg.eigenvalues(am)
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(am, 2)))
+    return spectrum_stability(linalg.eigenvalues(am),
+                              float(np.linalg.norm(am, 2)))
+
+
+def spectrum_stability(lam, norm: float) -> Stability:
+    """stability_class of a matrix from its eigenvalues `lam` and its
+    spectral norm `norm`, for a caller that holds both already."""
+    tol = 1e-9 * max(1.0, norm)
     if np.any(lam.real > tol):
         return Stability.UNSTABLE
     if np.all(lam.real < -tol):

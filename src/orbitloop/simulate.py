@@ -28,7 +28,7 @@ from .dynamics import (
     srp_accel,
 )
 from .errors import DimensionError, NotApplicableError, NumericalError
-from .ltisys import (StateSpace, _check_tgrid, check_grid, stability_class,
+from .ltisys import (StateSpace, _check_tgrid, check_grid, spectrum_stability,
                      uniform_grid)
 from .synthesis import (
     SynthesisResult,
@@ -321,15 +321,26 @@ def synthesize_for_scenario(s: Scenario) -> ScenarioDesign:
     return ScenarioDesign(plant, g, lqr, l, step_loops, sweep_loops, spectra)
 
 
-def run_scenario(s: Scenario,
-                 design: ScenarioDesign | None = None) -> SimulationRecord:
+def _reference_start(s: Scenario) -> np.ndarray:
+    """The reference's initial state: x0's position with the Lambert arc's
+    departure velocity, or the constant setpoint xf."""
+    if s.reference_mode is ReferenceMode.CONSTANT_SETPOINT:
+        return s.xf.as_vector()
+    v1, _ = lambert_solve(s.x0.position, s.xf.position, s.horizon,
+                          s.lambert_direction, s.constants)
+    return np.array([*s.x0.position, *v1])
+
+
+def run_scenario(s: Scenario, design: ScenarioDesign | None = None,
+                 r0: np.ndarray | None = None) -> SimulationRecord:
     """Propagate one scenario and return the gridded record.
 
     The true dynamics are the nonlinear planar two-body equations with SRP
     (or the linearized model when plant_mode is LINEAR); the observer always
     integrates the linearized model driven by the measured positions, and
     the whole coupled system advances as one ODE.  `design` is the
-    scenario's design; without one it is synthesized here.
+    scenario's design and `r0` the reference's initial state
+    (`_reference_start`); what is not given is computed here.
     """
     d = synthesize_for_scenario(s) if design is None else design
     a_srp = srp_accel(s.srp, s.spacecraft, s.constants)
@@ -338,16 +349,8 @@ def run_scenario(s: Scenario,
     t_out = s.output_grid()
     x0 = s.x0.as_vector()
     e0 = x0 - s.initial_estimate() if has_observer else np.zeros(4)
-    if s.reference_mode is ReferenceMode.LAMBERT_ARC:
-        v1, _ = lambert_solve(
-            s.x0.position, s.xf.position, s.horizon,
-            s.lambert_direction, s.constants,
-        )
-        r0 = (*s.x0.position, *v1)
-        ref_moving = 1
-    else:
-        r0 = s.xf.as_vector()
-        ref_moving = 0
+    if r0 is None:
+        r0 = _reference_start(s)
 
     sigma = s.measurement_noise_sigma
     if sigma[0] > 0 or sigma[1] > 0:
@@ -363,7 +366,8 @@ def run_scenario(s: Scenario,
     x, e, r, u = _dopri.propagate_grid(
         x0, t_out, e0, r0, s.constants.mu, gw,
         int(s.method in (Method.LQR, Method.OBSERVER_LQR)), int(has_observer),
-        int(s.plant_mode is PlantMode.LINEAR), ref_moving,
+        int(s.plant_mode is PlantMode.LINEAR),
+        int(s.reference_mode is ReferenceMode.LAMBERT_ARC),
         d.plant.a[2, 0], d.plant.c, d.lqr.k, d.l, noise, s.rtol, s.atol,
     )
     return SimulationRecord(
@@ -426,7 +430,7 @@ def compare_methods(s: Scenario) -> ComparisonReport:
     """Run all four methods on one scenario and collect metrics, dominant
     closed-loop spectra and stability classes.  A single method's failure is
     reported in its row rather than aborting the comparison.  The methods
-    share one design, synthesized once."""
+    share one design, synthesized once, and one reference start."""
     d = synthesize_for_scenario(s)
     sp = d.spectra
     eig_info = {
@@ -436,18 +440,23 @@ def compare_methods(s: Scenario) -> ComparisonReport:
         Method.OBSERVER_LQR: {"separation_loop": sp["separation_loop"]},
     }
     # observer_only applies no control: its row reports the plant's class.
-    a = d.plant.a
-    stab_info = {method: stability_class(m).value for method, m in (
-        (Method.UNCONTROLLED, a), (Method.LQR, d.step_loops["lqr"].a),
-        (Method.OBSERVER_ONLY, a),
-        (Method.OBSERVER_LQR, d.step_loops["observer_lqr"].a))}
+    stab_info = {method: spectrum_stability(
+        sp[key], float(np.linalg.norm(m, 2))).value for method, key, m in (
+            (Method.UNCONTROLLED, "plant", d.plant.a),
+            (Method.LQR, "closed_loop", d.step_loops["lqr"].a),
+            (Method.OBSERVER_ONLY, "plant", d.plant.a),
+            (Method.OBSERVER_LQR, "separation_loop",
+             d.step_loops["observer_lqr"].a))}
 
     reports = []
     records = {}
+    r0 = None  # the reference start, which every method shares
     for method in Method:
         metrics = error = None
         try:
-            rec = run_scenario(replace(s, method=method), d)
+            if r0 is None:
+                r0 = _reference_start(s)
+            rec = run_scenario(replace(s, method=method), d, r0)
             metrics = compute_metrics(rec, s.xf, s.settle_band)
             records[method.value] = rec
         except Exception as exc:  # noqa: BLE001 - per-method fault isolation

@@ -2,6 +2,7 @@
 same source and must agree, on ndarray and on list containers alike; the env
 flag, or numba being absent, selects the fallback."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -34,6 +35,21 @@ def test_env_flag_selects_numpy_fallback(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["False", "ORBITLOOP_NO_NUMBA set"]
+
+
+def test_steppers_are_built_on_first_run():
+    # Importing the CLI builds no stepper; a run builds its layout's alone.
+    code = ("import numpy as np\n"
+            "import orbitloop as ol\n"
+            "import orbitloop.cli\n"
+            "from orbitloop import _dopri\n"
+            "print(_dopri._stepper.cache_info().currsize)\n"
+            "ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1.0]))\n"
+            "print(_dopri._stepper.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_missing_numba_selects_python_kernel(tmp_path):
@@ -133,18 +149,26 @@ def test_nan_error_norm_fails_fast():
                     reason="the compiled kernel binds the compiled RHS")
 def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     # perfbench counts RHS evaluations by rebinding _dopri._rhs_impl, so the
-    # Python kernel must look the RHS up in its module at call time; a
-    # kernel that bound it earlier would run and report zero evaluations.
+    # stepper of every layout must look the RHS up in its module at call
+    # time; one that bound it earlier would run and report no evaluations.
     calls = []
     rhs = _dopri._rhs_impl
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args[5:8:2])  # (observe, ref_moving)
         return rhs(*args)
 
     monkeypatch.setattr(_dopri, "_rhs_impl", counting)
-    ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 10.0]))
-    assert calls
+    x0 = ol.Scenario().x0.as_vector()
+    layouts = [(observe, ref_moving) for observe in (0, 1)
+               for ref_moving in (0, 1)]
+    for observe, ref_moving in layouts:
+        _dopri.propagate_grid(
+            x0, np.array([0.0, 10.0]), np.zeros(4), x0,
+            ol.PhysicalConstants().mu, np.zeros(4), 0, observe, 0,
+            ref_moving, 0.0, np.zeros((2, 4)), np.zeros((2, 4)),
+            np.zeros((4, 2)), np.zeros((1, 2)), 1e-8, 1e-9)
+    assert sorted(set(calls)) == layouts
 
 
 @pytest.mark.skipif(_dopri.USING_NUMBA,
@@ -194,7 +218,7 @@ def _run_kernel_source(args, lists):
     (x0, t_out, e0, r0, mu, gw, control, observe, plant_linear, ref_moving,
      w2, cm, k, l, noise, rtol, atol) = args
     arrays = [np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise]
-    work = np.zeros((11, 12))
+    work = np.zeros((4, 12))
     if lists:
         arrays = [a.tolist() for a in arrays]
         work = work.tolist()
@@ -232,14 +256,90 @@ def _run_kernel_source(args, lists):
 def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
     (args,) = _kernel_calls(monkeypatch, lambda: ol.run_scenario(scenario))
     # Where numba is installed, run its Python source all the way down.
-    for name in ("_rhs_impl", "_propagate_impl"):
-        fn = getattr(_dopri, name)
-        monkeypatch.setattr(_dopri, name, getattr(fn, "py_func", fn))
+    rhs = _dopri._rhs_impl
+    monkeypatch.setattr(_dopri, "_rhs_impl", getattr(rhs, "py_func", rhs))
+    monkeypatch.setattr(_dopri, "_stepper", _dopri._build_stepper)
     state_a, ctrl_a, status_a = _run_kernel_source(args, lists=False)
     state_l, ctrl_l, status_l = _run_kernel_source(args, lists=True)
     assert status_a == status_l == expected
     assert np.array_equal(state_a, state_l)
     assert np.array_equal(ctrl_a, ctrl_l)
+
+
+_H = float.fromhex
+# The default scenario's design, written out so that no LAPACK build can
+# move these inputs: K, L, the position measurement map C, A's w2 at
+# |x0| = 9902.8 km, the SRP forcing G w = B a and the Lambert arc's start.
+PIN_K = [[_H("0x1.000006e2c6010p+0"), _H("-0x1.e14b8d4951a9dp-55"),
+          _H("0x1.bb67b27f41a1ep+0"), _H("-0x1.c4283b8c3ae70p-56")],
+         [_H("0x1.e7216a98d8244p-57"), _H("0x1.000006e2c6002p+0"),
+          _H("-0x1.c4283b8c3ae70p-56"), _H("0x1.bb67b27f41a1ep+0")]]
+PIN_L = [[_H("0x1.bb67b27f41a1ep+2"), 0.0], [0.0, _H("0x1.bb67b27f41a1fp+2")],
+         [_H("0x1.0000006e2c770p+4"), 0.0], [0.0, _H("0x1.0000006e2c762p+4")]]
+PIN_C = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+PIN_W2 = _H("0x1.b8b17a235ac77p-22")
+PIN_GW = [0.0, 0.0, _H("0x1.125eb66929aaap-30"), _H("0x1.79c414894bf22p-35")]
+PIN_ARC = [4292.87, 8924.17, _H("-0x1.5d5797df1fc0cp-2"),
+           _H("0x1.42c11334d3e4ap+2")]
+# A constant setpoint on a near-circular 7000 km orbit; its p is -0.0.
+PIN_SETPOINT = [-0.0, 7000.0, 7.546, 0.0]
+
+
+def _pinned_run(control, observe, plant_linear, ref_moving, noisy):
+    """20 s on a 0.5 s grid from literal inputs: toward the Lambert arc from
+    the default x0, or toward PIN_SETPOINT from near it."""
+    t = np.arange(41) * 0.5
+    noise = [[1e-3 * ((3 * i) % 7 - 3), 2e-3 * ((5 * i) % 3 - 1)]
+             for i in range(40)] if noisy else np.zeros((40, 2))
+    x0 = [4292.87, 8924.17, 7.8, 0.0] if ref_moving \
+        else [0.3, 7000.1, 7.5, 0.01]
+    e0 = [0.0, 0.0, 7.8, 0.0] if observe else [0.0] * 4
+    return _dopri.propagate_grid(
+        np.array(x0), t, np.array(e0),
+        np.array(PIN_ARC if ref_moving else PIN_SETPOINT), 398600.4418,
+        PIN_GW, control, observe, plant_linear, ref_moving, PIN_W2, PIN_C,
+        PIN_K, PIN_L, noise, 1e-8, 1e-9)
+
+
+# sha256 of the x, e, r and u series as little-endian float64, recorded
+# with the loop-per-lane kernel that preceded the generated steppers.
+@pytest.mark.parametrize("layout, digests", [
+    ((1, 0, 0, 0, False), (
+        "a0d83e8dee842a34945aa5f8d67f7460619ef574e22fd4f720adad92a68c1edd",
+        "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
+        "14e827439fdf713d9e4dacb6186b3dbf830b45862a38f3a0bf2e880ec0a31749",
+        "f17dc86d7332c4092a759dc9fac238452714da2685813e96c828f3e2d603eb0c")),
+    ((1, 0, 1, 1, False), (
+        "dca716199feff16812756b738a2caf96c1b0e2678e2f5593aa94da2565b6eefc",
+        "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
+        "0676f326bec6162a9baf1b20f9af5b969931dcd4d1885755a2c960da845c7d38",
+        "74c1d4e63d705088d97945e3aea2be8e083e9f5bb4300257d7e6994721f05730")),
+    ((0, 1, 1, 0, True), (
+        "574fee90dadc90f34bb87acceef4cc6f5ec92e0180273b4f7e2a121e56d493d2",
+        "db6a289fc73946e4d768f5139e84672f3aa6cdafe6fbc7d099eae567c47c2dc0",
+        "14e827439fdf713d9e4dacb6186b3dbf830b45862a38f3a0bf2e880ec0a31749",
+        "e06e79cdfedfc6d6107b945613e65b2de3a209e40115b9b00ab048d2b91cd7d5")),
+    ((1, 1, 0, 1, True), (
+        "132ea6c817268f4566e8634eaa227b964d6bf8c4e174887605f2d4277357bba9",
+        "e6a30997799649fd8eec21d0d62e332a17185342eaf38a60745cf6d3e0f64104",
+        "98f7a658beaf2e04c94102869ca5c0f5b737fa8f57fc30e1ff610674c790a464",
+        "f98adaababb05556bd4b98d2f794b613c659178e9fed8b1ca60df58a717713f1")),
+], ids=["lqr_setpoint_nonlinear", "lqr_arc_linear",
+        "observer_only_setpoint_linear_noisy",
+        "observer_lqr_arc_nonlinear_noisy"])
+def test_kernel_output_bits_are_pinned(layout, digests):
+    # Every (observe, ref_moving) layout, both plants, held noise and a
+    # frozen setpoint, each pinned to the last bit.
+    out = _pinned_run(*layout)
+    got = tuple(hashlib.sha256(a.astype("<f8").tobytes()).hexdigest()
+                for a in out)
+    assert got == digests
+    if not layout[3]:
+        # A frozen lane's stage inputs are z + 0.0, so the setpoint's -0.0
+        # becomes +0.0 with the first step and stays there.
+        r = out[2]
+        assert math.copysign(1.0, r[0, 0]) == -1.0
+        assert not np.signbit(r[1:, 0]).any() and not r[1:, 0].any()
 
 
 def test_held_noise_estimation_error_matches_zoh_recursion():

@@ -67,6 +67,17 @@ def test_stability_classification(plant):
     assert ol.stability_class(plant.a) is ol.Stability.UNSTABLE
 
 
+def test_spectrum_stability_scales_its_axis_band():
+    # The band around the imaginary axis is 1e-9 * max(1, ||A||).
+    classify = ol.ltisys.spectrum_stability
+    lam = np.array([-1.0 + 0j, 5e-7 + 2j, 5e-7 - 2j])
+    assert classify(lam, 1e3) is ol.Stability.MARGINALLY_STABLE
+    assert classify(lam, 1.0) is ol.Stability.UNSTABLE
+    damped = np.array([-1.0 + 0j, -5e-7 + 2j, -5e-7 - 2j])
+    assert classify(damped, 1e3) is ol.Stability.MARGINALLY_STABLE
+    assert classify(damped, 0.5) is ol.Stability.ASYMPTOTICALLY_STABLE
+
+
 def test_transfer_scalar_dc_gain():
     sys = ol.StateSpace(np.array([[-1.0]]), np.array([[1.0]]),
                         np.array([[1.0]]))

@@ -287,6 +287,28 @@ def test_compare_methods_report_shape():
     assert by_name["uncontrolled"].metrics.control_energy == 0.0
 
 
+def test_compare_methods_shares_the_arc_and_the_spectra(monkeypatch):
+    # compare solves the Lambert arc once for all four methods, and takes
+    # each stability class from the design's spectra, as stability_class
+    # would from the loop matrix.
+    solves = []
+    solve = ol.simulate.lambert_solve
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ol.simulate, "lambert_solve", counting)
+    s = ol.Scenario(horizon=5.0)
+    report = ol.compare_methods(s)
+    assert len(solves) == 1
+    d = ol.synthesize_for_scenario(s)
+    want = [ol.stability_class(m).value for m in (
+        d.plant.a, d.step_loops["lqr"].a, d.plant.a,
+        d.step_loops["observer_lqr"].a)]
+    assert [e.stability for e in report.reports] == want
+
+
 def test_design_loops_use_its_gains_and_maps():
     # Every loop of the design is built from its own K, L, G and measurement
     # map C: a custom G and a scaled C show any fallback to B or to the
