@@ -8,23 +8,26 @@ constant measurement noise never straddles a sample interval).
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
 by `_stepper_source`, one per layout of moving blocks: the plant always
 moves, the error block with `observe`, the reference with `ref_moving`.  It
-holds the 12 states and each stage's derivatives in local variables, and
-its RHS calls go to `_rhs_impl`, one hand-written function for every
-layout, which it looks up in this module when it runs.  `_propagate_impl`
-picks the layout's stepper, which `_stepper` builds on the layout's first
-run and caches: no stepper is built at import.
+holds the 12 states and each stage's derivatives in local variables.  Its
+RHS calls go to `_rhs_impl`, one hand-written pure function for every
+layout, which it looks up in this module when it runs: it takes the stage
+as a 12-tuple and returns (status, ux, uy, dz_0, ..., dz_11).  `_stepper`
+builds a layout's stepper on its first run and caches it: no stepper is
+built at import.
 
 A frozen block (e without `observe`, a constant reference) has derivative
 +0.0 at every stage, and every tableau-weighted sum of those is +0.0, so
 each stage input and the new state of a frozen lane is z_i + 0.0: the
-stepper computes that once per step attempt.  A -0.0 in such a lane thus
-turns into +0.0 with the first step, as stepping lane by lane gives.
+stepper computes that once per step attempt and discards the frozen lanes'
+derivatives.  A -0.0 in such a lane thus turns into +0.0 with the first
+step, as stepping lane by lane gives.
 
 The kernel indexes its 2-D inputs as x[i][j], and `propagate_grid`, its
 only wrapper, picks its containers: ndarrays on the numba path, plain
-Python floats and lists on the Python path.  Either way the kernel fills
-preallocated ndarray outputs and allocates nothing itself, and
-`propagate_grid` raises NumericalError for any status but STATUS_OK.
+Python floats and lists on the Python path.  Either way the stepper writes
+each sample as one row (z_0, ..., z_11, ux, uy) of a preallocated (n, 14)
+ndarray, and `propagate_grid` raises NumericalError for any status but
+STATUS_OK.
 
 The backend is chosen once, at import, by three cases:
 
@@ -47,13 +50,13 @@ State layout, known only to this module: z = [x (true, 4) | e = x - xhat
 blocks.  The observer is integrated in (x, e) coordinates, which makes the
 error block's arithmetic independent of the applied control for a linear
 plant.  The plant's linearization is A = [[0, I], [w2 I, 0]], passed as
-w2.  With the switch `control` the RHS writes u = -K (xhat - r) into the
-work row `u` (else 0), and with `observe` it moves e (else e keeps its
-initial value, 0).  It forces the plant by B u (B = [0; I]) and the run's
-constant SRP forcing `gw` = G w.  The first RHS call is at z0, and by FSAL
-("first same as last", Dormand & Prince 1980, J. Comput. Appl. Math.
-6(1)) each accepted step's last stage, at the new state, is the next
-step's first, so `u` holds each sample's control.
+w2.  With the switch `control` the RHS returns u = -K (xhat - r) as ux,
+uy (else 0), and with `observe` it moves e (else e keeps its initial
+value, 0).  It forces the plant by B u (B = [0; I]) and the run's constant
+SRP forcing `gw` = G w.  The first RHS call is at z0, and by FSAL ("first
+same as last", Dormand & Prince 1980, J. Comput. Appl. Math. 6(1)) each
+accepted step's last stage, at the new state, is the next step's first,
+so the control of the last RHS call is each sample's.
 
 The step controller's RMS error norm skips the frozen lanes, whose terms
 are +0.0, but divides by all 12 states, frozen blocks included, so a run is
@@ -110,8 +113,13 @@ _STATUS_MESSAGES = {
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 
 
-def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
-              w2, cm, k, l, nx, ny, u):
+# What _rhs_impl returns when the plant or the reference is within 1 km of
+# the origin.
+_SINGULAR = (STATUS_SINGULAR_RADIUS,) + (0.0,) * 14
+
+
+def _rhs_impl(z, mu, gw, control, observe, plant_linear, ref_moving, w2, cm,
+              k, l, nx, ny):
     x0, x1, x2, x3, e0, e1, e2, e3, r0, r1, r2, r3 = z
     g0, g1, g2, g3 = gw
 
@@ -119,17 +127,14 @@ def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
     if ref_moving == 1:
         rr = (r0 * r0 + r1 * r1) ** 0.5
         if rr < 1.0:
-            return STATUS_SINGULAR_RADIUS
+            return _SINGULAR
         rr3 = rr * rr * rr
-        dz[8] = r2
-        dz[9] = r3
-        dz[10] = -mu * r0 / rr3
-        dz[11] = -mu * r1 / rr3
+        dr0 = r2
+        dr1 = r3
+        dr2 = -mu * r0 / rr3
+        dr3 = -mu * r1 / rr3
     else:
-        dz[8] = 0.0
-        dz[9] = 0.0
-        dz[10] = 0.0
-        dz[11] = 0.0
+        dr0 = dr1 = dr2 = dr3 = 0.0
 
     # u = -K (xhat - r), xhat = x - e; e stays 0 without an observer.  The
     # sums start from 0.0, so u is +0.0, never -0.0, when every term is 0.
@@ -144,8 +149,6 @@ def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
         k10, k11, k12, k13 = k[1]
         ux = 0.0 - k00 * d0 - k01 * d1 - k02 * d2 - k03 * d3
         uy = 0.0 - k10 * d0 - k11 * d1 - k12 * d2 - k13 * d3
-    u[0] = ux
-    u[1] = uy
 
     # True plant: nonlinear two-body gravity or the linearized model, forced
     # by B u and G w either way.  The velocity rows of A z start from 0.0,
@@ -159,23 +162,19 @@ def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
     else:
         rad = (x0 * x0 + x1 * x1) ** 0.5
         if rad < 1.0:
-            return STATUS_SINGULAR_RADIUS
+            return _SINGULAR
         rad3 = rad * rad * rad
         f0 = x2 + g0
         f1 = x3 + g1
         f2 = -mu * x0 / rad3 + g2 + ux
         f3 = -mu * x1 / rad3 + g3 + uy
-    dz[0] = f0
-    dz[1] = f1
-    dz[2] = f2
-    dz[3] = f3
 
     # Estimation-error block:  de = (A - L C) e + (f(x) - A x - B u) - L nu,
     # with f(x) the full forced true dynamics f0 to f3.  On the linear plant
     # the model-mismatch term reduces to G w exactly; it is computed directly
     # in that form so the error block's arithmetic never depends on the
     # state or control trajectory.  The mismatch's A x terms need no 0.0
-    # start: the sign of a zero there cannot reach dz, because the mismatch
+    # start: the sign of a zero there cannot reach de, because the mismatch
     # is added last to a sum that starts from 0.0 and ends in a
     # subtraction, which is never -0.0.
     if observe == 1:
@@ -197,16 +196,14 @@ def _rhs_impl(z, dz, mu, gw, control, observe, plant_linear, ref_moving,
         l10, l11 = l[1]
         l20, l21 = l[2]
         l30, l31 = l[3]
-        dz[4] = 0.0 + e2 - (l00 * ce0 + l01 * ce1) + m0
-        dz[5] = 0.0 + e3 - (l10 * ce0 + l11 * ce1) + m1
-        dz[6] = 0.0 + w2 * e0 - (l20 * ce0 + l21 * ce1) + m2
-        dz[7] = 0.0 + w2 * e1 - (l30 * ce0 + l31 * ce1) + m3
+        de0 = 0.0 + e2 - (l00 * ce0 + l01 * ce1) + m0
+        de1 = 0.0 + e3 - (l10 * ce0 + l11 * ce1) + m1
+        de2 = 0.0 + w2 * e0 - (l20 * ce0 + l21 * ce1) + m2
+        de3 = 0.0 + w2 * e1 - (l30 * ce0 + l31 * ce1) + m3
     else:
-        dz[4] = 0.0
-        dz[5] = 0.0
-        dz[6] = 0.0
-        dz[7] = 0.0
-    return STATUS_OK
+        de0 = de1 = de2 = de3 = 0.0
+    return (STATUS_OK, ux, uy, f0, f1, f2, f3, de0, de1, de2, de3,
+            dr0, dr1, dr2, dr3)
 
 
 _rhs_impl = _jit(_rhs_impl)
@@ -232,21 +229,15 @@ _TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # stage-s derivative ks_i, and its new state zn_i.
 _STEPPER_TEMPLATE = '''
 def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-            w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl):
-    z = work[0]  # the state, stored only for an RHS call at it
-    ytmp = work[1]  # the stage input
-    dz = work[2]  # the stage derivative
-    u = work[3]  # the control (ux, uy) at the last RHS evaluation
+            w2, cm, k, l, noise, rtol, atol, out):
     @load_z0
-    @store_sample_0
-    # The first RHS evaluation, at z0, leaves sample 0's control in u.
-    st = _rhs_impl(z0, dz, mu, gw, control, observe, plant_linear,
-                   ref_moving, w2, cm, k, l, noise[0][0], noise[0][1], u)
+    # The first RHS evaluation, at z0, gives sample 0's control.
+    nx = noise[0][0]
+    ny = noise[0][1]
+    @rhs_k1
     if st != STATUS_OK:
         return st
-    @unpack_k1
-    out_ctrl[0, 0] = u[0]
-    out_ctrl[0, 1] = u[1]
+    @store_sample_0
 
     h = -1.0
     steps = 0
@@ -260,12 +251,9 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
             h = min(seg_len, 1.0)
         # FSAL: k1 holds f(z) unless the held noise sample has just changed.
         if seg > 0 and (nx != noise[seg - 1][0] or ny != noise[seg - 1][1]):
-            @store_z
-            st = _rhs_impl(z, dz, mu, gw, control, observe, plant_linear,
-                           ref_moving, w2, cm, k, l, nx, ny, u)
+            @rhs_k1
             if st != STATUS_OK:
                 return st
-            @unpack_k1
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
             steps += 1
             if steps > _MAX_STEPS:
@@ -283,7 +271,6 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
                 if not h >= 1e-12 * max(1.0, abs(t)):
                     return st
                 continue
-            @unpack_k7
 
             @error_norm
             norm = (err_norm2 / 12.0) ** 0.5
@@ -316,16 +303,14 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
                 if not h >= 1e-12 * max(1.0, abs(t)):
                     return STATUS_STEP_UNDERFLOW
 
+        # The last RHS call was at z, so ux and uy are its control.
         @store_sample
-        # The last RHS call was at z, so u holds the control there.
-        out_ctrl[seg + 1, 0] = u[0]
-        out_ctrl[seg + 1, 1] = u[1]
 
     return STATUS_OK
 '''
 
-_RHS_CALL = ("st = _rhs_impl(ytmp, dz, mu, gw, control, observe, plant_linear,"
-             " ref_moving, w2, cm, k, l, nx, ny, u)")
+_RHS_ARGS = ("mu, gw, control, observe, plant_linear, ref_moving, w2, cm, k,"
+             " l, nx, ny")
 # True exactly when zn_i is finite: NaN fails every comparison.
 _FINITE = f"{-sys.float_info.max!r} <= zn_{{}} <= {sys.float_info.max!r}"
 
@@ -346,12 +331,13 @@ def _stepper_source(observe, ref_moving):
     def assign(target, values):
         return [f"{target} = (", *(f"    {v}," for v in values), ")"]
 
-    def store(row, item, which=moving):
-        return [f"{row}[{i}] = {item(i)}" for i in which]
-
-    def unpack(s):
-        lhs = ", ".join(f"k{s}_{i}" if i in moving else "_" for i in lanes)
-        return [f"{lhs} = dz"]
+    def rhs(s, stage, control="_, _"):
+        # An RHS call at the 12-tuple `stage`: the moving lanes' derivatives
+        # go to ks_i, and the frozen lanes' to _.
+        lhs = ", ".join(["st", control] + [f"k{s}_{i}" if i in moving else "_"
+                                           for i in lanes])
+        return [f"{lhs} = _rhs_impl((", *(f"    {v}," for v in stage),
+                f"), {_RHS_ARGS})"]
 
     def weighted(weights, i):
         return " + ".join(f"{w!r} * k{j}_{i}"
@@ -365,13 +351,12 @@ def _stepper_source(observe, ref_moving):
 
     stages = []
     for s, weights in enumerate(_TABLEAU_A, 2):
-        body = (unpack(s - 1) if s > 2 else []) \
-            + store("ytmp", lambda i: stage_sum(weights, i)) + [_RHS_CALL]
+        body = rhs(s, [stage_sum(weights, i) if i in moving else f"zn_{i}"
+                       for i in lanes])
         stages += body if s == 2 else \
             ["if st == STATUS_OK:", *("    " + line for line in body)]
-    body = unpack(6) \
-        + assign(names("zn_{}"), (stage_sum(_TABLEAU_B, i) for i in moving)) \
-        + store("ytmp", "zn_{}".format) + [_RHS_CALL]
+    body = assign(names("zn_{}"), (stage_sum(_TABLEAU_B, i) for i in moving)) \
+        + rhs(7, [names("zn_{}", lanes)], "ux, uy")
     stages += ["if st == STATUS_OK:", *("    " + line for line in body)]
 
     # A frozen lane's error term is +0.0 and adds nothing.  max(a, b) is b
@@ -383,25 +368,23 @@ def _stepper_source(observe, ref_moving):
     error_norm.append("err_norm2 = 0.0 + "
                       + " + ".join(f"q_{i} * q_{i}" for i in moving))
 
+    sample = f"{names('z_{}', lanes)}, ux, uy"
     blocks = {
         "load_z0": [f"{names('z_{}', lanes)} = z0"],
-        "store_sample_0": [f"out_state[0] = {names('z_{}', lanes)}"],
-        "store_z": store("z", "z_{}".format, lanes),
-        "unpack_k1": unpack(1),
+        "rhs_k1": rhs(1, [names("z_{}", lanes)], "ux, uy"),
+        "store_sample_0": [f"out[0] = {sample}"],
         # Each stage derivative of a frozen lane is +0.0, and so is every
         # tableau-weighted sum of them: its stage inputs and new state are
         # all z_i + 0.0.
-        "frozen_lanes": ([f"{names('zn_{}', frozen)} = "
-                          f"{names('z_{} + 0.0', frozen)}"] if frozen else [])
-        + store("ytmp", "zn_{}".format, frozen),
+        "frozen_lanes": [f"{names('zn_{}', frozen)} = "
+                         f"{names('z_{} + 0.0', frozen)}"] if frozen else [],
         "stages": stages,
-        "unpack_k7": unpack(7),
         "error_norm": error_norm,
         "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
                          "    return STATUS_NOT_FINITE"],
         "accept": [f"{names('z_{}', lanes)} = {names('zn_{}', lanes)}",
                    f"{names('k1_{}')} = {names('k7_{}')}"],
-        "store_sample": [f"out_state[seg + 1] = {names('z_{}', lanes)}"],
+        "store_sample": [f"out[seg + 1] = {sample}"],
     }
     out = []
     for line in _STEPPER_TEMPLATE.splitlines():
@@ -432,14 +415,6 @@ def _stepper(observe, ref_moving):
     return _jit(_build_stepper(observe, ref_moving), cache=False)
 
 
-def _propagate_impl(z0, t_out, mu, gw, control, observe, plant_linear,
-                    ref_moving, w2, cm, k, l, noise, rtol, atol, work,
-                    out_state, out_ctrl):
-    return _stepper(observe == 1, ref_moving == 1)(
-        z0, t_out, mu, gw, control, observe, plant_linear, ref_moving, w2,
-        cm, k, l, noise, rtol, atol, work, out_state, out_ctrl)
-
-
 def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
                    plant_linear, ref_moving, w2, cm, k, l, noise, rtol, atol):
     """Propagate the plant state x0, estimation error e0 and reference r0
@@ -452,20 +427,16 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     kernel takes them as nested lists: an element of a list is a plain
     float, while an element of an ndarray reads back as a numpy scalar,
     whose arithmetic is several times slower."""
-    out_state = np.empty((len(t_out), 12))
-    out_ctrl = np.empty((len(t_out), 2))
+    out = np.empty((len(t_out), 14))
     arrays = [np.ascontiguousarray(a, float) for a in
               (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise)]
-    work = np.zeros((4, 12))
     if not USING_NUMBA:
         arrays = [a.tolist() for a in arrays]
-        work = work.tolist()
     z0, t_out, gw, cm, k, l, noise = arrays
-    status = _propagate_impl(z0, t_out, float(mu), gw, control, observe,
-                             plant_linear, ref_moving, float(w2), cm, k, l,
-                             noise, float(rtol), float(atol), work, out_state,
-                             out_ctrl)
+    status = _stepper(observe == 1, ref_moving == 1)(
+        z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
+        float(w2), cm, k, l, noise, float(rtol), float(atol), out)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
-    return (out_state[:, 0:4].copy(), out_state[:, 4:8].copy(),
-            out_state[:, 8:12].copy(), out_ctrl)
+    return (out[:, 0:4].copy(), out[:, 4:8].copy(), out[:, 8:12].copy(),
+            out[:, 12:14].copy())

@@ -39,7 +39,7 @@ from .ltisys import (
     default_frequency_grid,
     frequency_response,
     observability_matrix,
-    stability_class,
+    spectrum_stability,
     step_response,
 )
 from .simulate import (
@@ -418,7 +418,8 @@ def _cmd_analyze(scenario, drift_cfg, response_cfg, outdir, fmt):
     ctrb = controllability_matrix(plant)
     obsv = observability_matrix(plant)
     spectrum = eigenvalues(plant.a)
-    stability = stability_class(plant.a)
+    stability = spectrum_stability(spectrum,
+                                   float(np.linalg.norm(plant.a, 2)))
     w2 = plant.a[2, 0]
     payload = {
         "rank_controllability": rank(ctrb),

@@ -291,6 +291,18 @@ def lambert_solve(
     if turn * (r1v[0] * r2v[1] - r1v[1] * r2v[0]) < 0:
         lam = -lam
     t = tof * math.sqrt(2.0 * mu / s) / s
+    # Below t of about 1e-154 the iteration's x * x overflows, while v tof
+    # has converged to its limit (on the short way, the chord) long before
+    # that: solve at the flight time whose t is 1e-100, taken from s (tof
+    # 1e-100 / t would underflow), and scale the velocities to tof.  Where
+    # 2 mu / s is subnormal, t has lost its digits and is refused.
+    tof_solved = tof
+    if t < 1e-100:
+        if 2.0 * mu / s < np.finfo(float).tiny:
+            raise InfeasibleTransferError(
+                "flight time too short for this transfer geometry")
+        tof_solved = 1e-100 * s / math.sqrt(2.0 * mu / s)
+        t = 1e-100
 
     # Initial guess, Izzo's eqs. 19-21 and the corrected eq. 30.
     t0 = math.acos(lam) + lam * math.sqrt(1.0 - lam * lam)
@@ -298,9 +310,7 @@ def lambert_solve(
     if t >= t0:
         x = (t0 / t) ** (2.0 / 3.0) - 1.0
     elif t < t1:
-        # t underflows to 0 only far below any admissible flight time.
-        x = (2.5 * t1 * (t1 - t) / (t * (1.0 - lam**5)) + 1.0 if t > 0
-             else math.inf)
+        x = 2.5 * t1 * (t1 - t) / (t * (1.0 - lam**5)) + 1.0
     else:
         x = math.exp(math.log(2.0) * math.log(t / t0)
                      / math.log(t1 / t0)) - 1.0
@@ -345,4 +355,10 @@ def lambert_solve(
     vt = gamma * sigma * (y + lam * x)
     v1 = vr1 * u1 + (vt / r1n) * turn * np.array([-u1[1], u1[0]])
     v2 = vr2 * u2 + (vt / r2n) * turn * np.array([-u2[1], u2[0]])
+    if tof_solved != tof:
+        with np.errstate(over="ignore"):
+            v1, v2 = v1 * tof_solved / tof, v2 * tof_solved / tof
+        if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+            raise NumericalError("transfer velocity overflowed at this "
+                                 "flight time")
     return v1, v2

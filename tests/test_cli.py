@@ -196,9 +196,11 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     pytest.param("simulate", "observer_speed_factor=1e300",
                  "observer placement failed: gain is not finite",
                  id="non_finite_observer_gain"),
-    # A flight time so short against mu that the Lambert iterate
-    # overflows.
-    pytest.param("simulate", "mu_km3_s2=1e-300", None, id="lambert_zero_y"),
+    # A mu so small that 2 mu / s is subnormal, leaving the Lambert
+    # flight time without its digits (mu = 1e-300 flies the chord:
+    # test_tiny_gravitational_parameter_flies_the_chord).
+    pytest.param("simulate", "mu_km3_s2=5e-324",
+                 "flight time too short", id="lambert_zero_y"),
     # r0**3 of the linearization radius (OverflowError).
     pytest.param("simulate", "x0=[1e300,0,0,0]", None,
                  id="linearization_overflow"),
@@ -252,6 +254,14 @@ def test_failing_run_folds_warnings_into_one_line(tmp_path, overrides, code):
     diagnostic = json.loads(err[0])
     assert diagnostic["warnings"]
     assert all(isinstance(w, str) for w in diagnostic["warnings"])
+
+
+def test_tiny_gravitational_parameter_flies_the_chord(tmp_path):
+    # mu = 1e-300 puts the Lambert arc's non-dimensional flight time near
+    # 1e-155, below where Izzo's iteration overflows.
+    proc = _run_cli(tmp_path, "simulate",
+                    ["mu_km3_s2=1e-300", "horizon_s=10"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_successful_run_prints_its_warnings(tmp_path):

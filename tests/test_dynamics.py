@@ -205,6 +205,18 @@ def test_lambert_flight_time_extremes():
     chord = (np.array(p2) - np.array(p1)) / 20.0
     assert np.allclose(v1, chord, rtol=1e-14, atol=0)
     assert np.allclose(v2, chord, rtol=1e-14, atol=0)
+    # Below a non-dimensional time of about 1e-154 Izzo's x * x overflows;
+    # the solver answers from t = 1e-100, where v tof has converged.  The
+    # short way is the chord again, and the long way keeps v tof.
+    for v in ol.lambert_solve(p1, p2, 1e-160):
+        assert np.allclose(v, chord * 20.0 / 1e-160, rtol=1e-15, atol=0)
+    near = ol.lambert_solve(p1, p2, 1e-60, "retrograde")
+    far = ol.lambert_solve(p1, p2, 1e-160, "retrograde")
+    for a, b in zip(near, far):
+        a, b = a * 1e-60, b * 1e-160
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+    with pytest.raises(ol.NumericalError, match="overflowed"):
+        ol.lambert_solve(p1, p2, 5e-324)
     # The non-dimensional time underflows to 0, or the iterate rounds to -1.
     with pytest.raises(ol.InfeasibleTransferError, match="too short"):
         ol.lambert_solve(p1, p2, 20.0,

@@ -155,7 +155,7 @@ def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     rhs = _dopri._rhs_impl
 
     def counting(*args):
-        calls.append(args[5:8:2])  # (observe, ref_moving)
+        calls.append(args[4:7:2])  # (observe, ref_moving)
         return rhs(*args)
 
     monkeypatch.setattr(_dopri, "_rhs_impl", counting)
@@ -218,17 +218,14 @@ def _run_kernel_source(args, lists):
     (x0, t_out, e0, r0, mu, gw, control, observe, plant_linear, ref_moving,
      w2, cm, k, l, noise, rtol, atol) = args
     arrays = [np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise]
-    work = np.zeros((4, 12))
     if lists:
         arrays = [a.tolist() for a in arrays]
-        work = work.tolist()
     z0, t_out, gw, cm, k, l, noise = arrays
-    out_state = np.zeros((len(t_out), 12))
-    out_ctrl = np.zeros((len(t_out), 2))
-    status = _dopri._propagate_impl(
+    out = np.zeros((len(t_out), 14))
+    status = _dopri._stepper(observe == 1, ref_moving == 1)(
         z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-        w2, cm, k, l, noise, rtol, atol, work, out_state, out_ctrl)
-    return out_state, out_ctrl, status
+        w2, cm, k, l, noise, rtol, atol, out)
+    return out, status
 
 
 @pytest.mark.parametrize("scenario, expected", [
@@ -259,11 +256,10 @@ def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
     rhs = _dopri._rhs_impl
     monkeypatch.setattr(_dopri, "_rhs_impl", getattr(rhs, "py_func", rhs))
     monkeypatch.setattr(_dopri, "_stepper", _dopri._build_stepper)
-    state_a, ctrl_a, status_a = _run_kernel_source(args, lists=False)
-    state_l, ctrl_l, status_l = _run_kernel_source(args, lists=True)
+    out_a, status_a = _run_kernel_source(args, lists=False)
+    out_l, status_l = _run_kernel_source(args, lists=True)
     assert status_a == status_l == expected
-    assert np.array_equal(state_a, state_l)
-    assert np.array_equal(ctrl_a, ctrl_l)
+    assert np.array_equal(out_a, out_l)
 
 
 _H = float.fromhex
@@ -342,6 +338,30 @@ def test_kernel_output_bits_are_pinned(layout, digests):
         assert not np.signbit(r[1:, 0]).any() and not r[1:, 0].any()
 
 
+def test_stage_below_1_km_retries_and_its_run_is_pinned(monkeypatch):
+    # A near-radial fall from 7000 km at loose tolerances: one trial stage
+    # lands within 1 km of the origin, the step is halved and retried, and
+    # the run finishes.  sha256 of the (4, 4) output, recorded with the
+    # kernel whose RHS wrote its derivatives into a work row.
+    statuses = []
+    rhs = _dopri._rhs_impl
+
+    def recording(*args):
+        out = rhs(*args)
+        statuses.append(out[0])
+        return out
+
+    monkeypatch.setattr(_dopri, "_rhs_impl", recording)
+    x = ol.propagate_two_body(ol.OrbitState((7000.0, 0.0), (0.0, 0.15)),
+                              np.linspace(0.0, 1500.0, 4),
+                              rtol=1e-3, atol=1e-3)
+    assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
+        "9065938aecd4d58901c6f0de6cb429a8575f62ea05b9e837aa586aa27b8f5f81"
+    if not _dopri.USING_NUMBA:  # the compiled stepper binds the compiled RHS
+        assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
+        assert len(statuses) == 401
+
+
 def test_held_noise_estimation_error_matches_zoh_recursion():
     # Independent oracle for the held measurement noise.  On the linear plant
     # the error block obeys de/dt = (A - L C) e - L nu_k + G w, with nu_k
@@ -414,11 +434,10 @@ def test_rhs_matches_numpy_derivative():
         z = np.zeros(12)
         z[0:4] = state.as_vector()
         z[8:12] = state.as_vector()
-        dz = np.zeros(12)
-        status = _dopri._rhs_impl(
-            z, dz, constants.mu, [0.0, 0.0, ax, ay],
+        status, _, _, *dz = _dopri._rhs_impl(
+            tuple(z), constants.mu, [0.0, 0.0, ax, ay],
             0, 0, 0, 1, 0.0, zeros[:2], zeros[:2],
-            zeros[:, :2], 0.0, 0.0, np.zeros(12))
+            zeros[:, :2], 0.0, 0.0)
         assert status == _dopri.STATUS_OK
         _assert_same_derivative(
             dz[0:4], ol.two_body_srp_derivative(state, a_srp=(ax, ay)))
@@ -496,10 +515,9 @@ def test_linear_rows_match_linearize_plant(radius, sign):
         for plant_linear in (0, 1):
             for z, gw, nx, ny in cases:
                 z, gw = convert(z), convert(gw)
-                dz, u = convert(np.zeros(12)), convert(np.zeros(12))
-                status = _dopri._rhs_impl(
-                    z, dz, s.constants.mu, gw, control, 1, plant_linear, 0,
-                    float(w2), cm, k, l, nx, ny, u)
+                status, ux, uy, *dz = _dopri._rhs_impl(
+                    tuple(z), s.constants.mu, gw, control, 1, plant_linear,
+                    0, float(w2), cm, k, l, nx, ny)
                 assert status == _dopri.STATUS_OK
                 want, want_u = _general_product_rows(
                     a.tolist(), z, gw, control, plant_linear, cm, k, l,
@@ -507,4 +525,4 @@ def test_linear_rows_match_linearize_plant(radius, sign):
                 np.testing.assert_array_equal(_bits(dz[0:8]), _bits(want))
                 np.testing.assert_array_equal(_bits(dz[8:12]),
                                               _bits(np.zeros(4)))
-                np.testing.assert_array_equal(_bits(u[0:2]), _bits(want_u))
+                np.testing.assert_array_equal(_bits([ux, uy]), _bits(want_u))
