@@ -7,7 +7,11 @@ two-body motion under solar radiation pressure.
 
 __version__ = "0.1.0"
 
-from ._dopri import BACKEND_REASON, USING_NUMBA
+# The kernel is pure Python.  The benchmark harness still reads this flag
+# (perfbench/backends.py and perfbench/tests/test_perfbench.py), so it
+# stays until the harness stops asking.
+USING_NUMBA = False
+
 from .dynamics import (
     EARTH_RADIUS_KM,
     OrbitState,

@@ -22,28 +22,13 @@ stepper computes that once per step attempt and discards the frozen lanes'
 derivatives.  A -0.0 in such a lane thus turns into +0.0 with the first
 step, as stepping lane by lane gives.
 
-The kernel indexes its 2-D inputs as x[i][j], and `propagate_grid`, its
-only wrapper, picks its containers: ndarrays on the numba path, plain
-Python floats and lists on the Python path.  Either way the stepper writes
-each sample as one row (z_0, ..., z_11, ux, uy) of a preallocated (n, 14)
-ndarray, and `propagate_grid` raises NumericalError for any status but
-STATUS_OK.
-
-The backend is chosen once, at import, by three cases:
-
-- ORBITLOOP_NO_NUMBA is set (to anything but "", "0", "false" or "no"):
-  the pure-Python kernel runs, whether numba is installed or not;
-- the flag is unset and numba cannot be imported: the pure-Python kernel
-  runs.  numba is an optional extra (``pip install orbitloop[jit]``), so
-  this is a supported configuration, not an error;
-- the flag is unset and numba imports: the kernel is compiled with @njit,
-  the RHS with numba's disk cache and each stepper, which has no source
-  file to cache against, without it.
-
-USING_NUMBA records the outcome, and BACKEND_REASON the case that chose it:
-"ORBITLOOP_NO_NUMBA set", "numba missing" or "numba available".  Both
-backends run the identical source and must give bit-identical outputs;
-perfbench/backends.py checks that on machines that have numba.
+The kernel takes plain Python floats and nested lists, indexing its 2-D
+inputs as x[i][j], and `propagate_grid`, its only wrapper, converts its
+inputs to them: an element of an ndarray reads back as a numpy scalar,
+whose arithmetic is several times slower than a float's.  The stepper
+writes each sample as one row (z_0, ..., z_11, ux, uy) of a preallocated
+(n, 14) ndarray, and `propagate_grid` raises NumericalError for any
+status but STATUS_OK.
 
 State layout, known only to this module: z = [x (true, 4) | e = x - xhat
 (4) | reference (4)], which `propagate_grid` takes and returns as three
@@ -68,34 +53,11 @@ and by sqrt(3) with two (free flight: `drift`, the `lambert` closure).
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import numpy as np
 
 from .errors import NumericalError
-
-_flag = os.environ.get("ORBITLOOP_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag not in ("", "0", "false", "no")
-
-USING_NUMBA = False
-if _DISABLED:
-    BACKEND_REASON = "ORBITLOOP_NO_NUMBA set"
-else:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-        BACKEND_REASON = "numba available"
-    except ImportError:  # numba is optional: fall back to the Python kernel
-        BACKEND_REASON = "numba missing"
-
-if USING_NUMBA:
-    def _jit(f, cache=True):
-        return njit(cache=cache, fastmath=False)(f)
-else:
-    def _jit(f, cache=True):
-        return f
 
 STATUS_OK = 0
 STATUS_SINGULAR_RADIUS = 1
@@ -204,9 +166,6 @@ def _rhs_impl(z, mu, gw, control, observe, plant_linear, ref_moving, w2, cm,
         de0 = de1 = de2 = de3 = 0.0
     return (STATUS_OK, ux, uy, f0, f1, f2, f3, de0, de1, de2, de3,
             dr0, dr1, dr2, dr3)
-
-
-_rhs_impl = _jit(_rhs_impl)
 
 
 # Dormand & Prince (1980) 5(4) tableau: the stage rows a_sj of stages 2 to
@@ -408,11 +367,8 @@ def _build_stepper(observe, ref_moving):
     return namespace["stepper"]
 
 
-# Built on a layout's first run, not at import; numba cannot cache a
-# function that has no source file.
-@functools.cache
-def _stepper(observe, ref_moving):
-    return _jit(_build_stepper(observe, ref_moving), cache=False)
+# Built on a layout's first run, not at import.
+_stepper = functools.cache(_build_stepper)
 
 
 def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
@@ -421,18 +377,11 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     across the output grid t_out on the plant with A = [[0, I], [w2 I, 0]],
     under the forcing gw = G w; returns the (n, 4) x, e and r series and
     the (n, 2) control series u, or raises NumericalError with the kernel's
-    status if the run fails.  `control` and `observe` are the ints 0 or 1.
-
-    The compiled kernel takes contiguous float ndarrays.  The Python
-    kernel takes them as nested lists: an element of a list is a plain
-    float, while an element of an ndarray reads back as a numpy scalar,
-    whose arithmetic is several times slower."""
+    status if the run fails.  `control` and `observe` are the ints 0 or 1."""
     out = np.empty((len(t_out), 14))
-    arrays = [np.ascontiguousarray(a, float) for a in
-              (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise)]
-    if not USING_NUMBA:
-        arrays = [a.tolist() for a in arrays]
-    z0, t_out, gw, cm, k, l, noise = arrays
+    z0, t_out, gw, cm, k, l, noise = (
+        np.asarray(a, float).tolist() for a in
+        (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise))
     status = _stepper(observe == 1, ref_moving == 1)(
         z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
         float(w2), cm, k, l, noise, float(rtol), float(atol), out)

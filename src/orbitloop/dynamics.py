@@ -300,7 +300,8 @@ def lambert_solve(
     if t < 1e-100:
         if 2.0 * mu / s < np.finfo(float).tiny:
             raise InfeasibleTransferError(
-                "flight time too short for this transfer geometry")
+                "gravitational parameter too small for this transfer "
+                "geometry: 2 mu / s is subnormal")
         tof_solved = 1e-100 * s / math.sqrt(2.0 * mu / s)
         t = 1e-100
 

@@ -200,7 +200,7 @@ def test_dispatch_out_of_range_override_exit_2(tmp_path, capsys, command,
     # flight time without its digits (mu = 1e-300 flies the chord:
     # test_tiny_gravitational_parameter_flies_the_chord).
     pytest.param("simulate", "mu_km3_s2=5e-324",
-                 "flight time too short", id="lambert_zero_y"),
+                 "gravitational parameter too small", id="lambert_zero_y"),
     # r0**3 of the linearization radius (OverflowError).
     pytest.param("simulate", "x0=[1e300,0,0,0]", None,
                  id="linearization_overflow"),

@@ -1,12 +1,8 @@
-"""Compiled-path checks: the numba kernel and the pure-Python fallback run the
-same source and must agree, on ndarray and on list containers alike; the env
-flag, or numba being absent, selects the fallback."""
+"""Kernel checks: the generated steppers and the RHS against independent
+oracles, pinned output bits, and the statuses that end a run."""
 
 import hashlib
-import importlib.util
-import json
 import math
-import os
 import subprocess
 import sys
 
@@ -15,26 +11,6 @@ import pytest
 
 import orbitloop as ol
 from orbitloop import _dopri
-
-
-def test_backend_selection_matches_environment():
-    # numba runs exactly when the flag is unset and numba is importable.
-    # Where numba is installed, a quiet fallback to Python fails here.
-    disabled = os.environ.get("ORBITLOOP_NO_NUMBA", "").strip().lower() \
-        not in ("", "0", "false", "no")
-    available = importlib.util.find_spec("numba") is not None
-    assert _dopri.USING_NUMBA is (not disabled and available)
-
-
-def test_env_flag_selects_numpy_fallback(tmp_path):
-    code = ("import orbitloop\n"
-            "print(orbitloop.USING_NUMBA)\n"
-            "print(orbitloop.BACKEND_REASON)\n")
-    env = dict(os.environ, ORBITLOOP_NO_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines() == ["False", "ORBITLOOP_NO_NUMBA set"]
 
 
 def test_steppers_are_built_on_first_run():
@@ -50,47 +26,6 @@ def test_steppers_are_built_on_first_run():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
-
-
-def test_missing_numba_selects_python_kernel(tmp_path):
-    # Blocking the import, rather than faking a package, runs the "numba
-    # missing" branch on every machine, whether numba is installed or not.
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"horizon_s": 20.0, "output_dt_s": 0.1}))
-    code = ("import sys\n"
-            "sys.modules['numba'] = None\n"
-            "import orbitloop\n"
-            "from orbitloop.cli import main\n"
-            "print(orbitloop.USING_NUMBA)\n"
-            "print(orbitloop.BACKEND_REASON)\n"
-            "sys.exit(main(['simulate', '--scenario', sys.argv[1],\n"
-            "               '--out', sys.argv[2]]))\n")
-    env = dict(os.environ)
-    env.pop("ORBITLOOP_NO_NUMBA", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(scenario), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:2] == ["False", "numba missing"]
-    assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 0
-
-
-def test_fallback_matches_compiled_path(tmp_path):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"horizon_s": 20.0, "output_dt_s": 0.1}))
-    outs = {}
-    for name, extra_env in (("numba", {}), ("numpy", {"ORBITLOOP_NO_NUMBA": "1"})):
-        out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbitloop.cli", "simulate",
-             "--scenario", str(scenario), "--out", str(out)],
-            env=dict(os.environ, **extra_env),
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs[name] = (out / "trajectory.csv").read_bytes()
-    assert outs["numba"] == outs["numpy"]
 
 
 def test_kernel_agrees_with_scipy_rk45():
@@ -145,8 +80,6 @@ def test_nan_error_norm_fails_fast():
                 np.zeros((4, 2)), np.zeros((1, 2)), rtol, 1e-9)
 
 
-@pytest.mark.skipif(_dopri.USING_NUMBA,
-                    reason="the compiled kernel binds the compiled RHS")
 def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     # perfbench counts RHS evaluations by rebinding _dopri._rhs_impl, so the
     # stepper of every layout must look the RHS up in its module at call
@@ -171,8 +104,6 @@ def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     assert sorted(set(calls)) == layouts
 
 
-@pytest.mark.skipif(_dopri.USING_NUMBA,
-                    reason="the compiled kernel reads _MAX_STEPS when it compiles")
 def test_step_budget_ends_the_run(monkeypatch):
     # No library run comes near the 50,000,000-step budget, so it is
     # lowered here to below the steps a 1000 s free flight takes.
@@ -210,56 +141,6 @@ def test_kernel_calls_pass_the_output_grid_second(monkeypatch):
                       (lambda: ol.propagate_two_body(s.x0, t), t)):
         (args,) = _kernel_calls(monkeypatch, run)
         assert np.array_equal(args[1], grid)
-
-
-def _run_kernel_source(args, lists):
-    """The kernel's Python source on ndarray containers (what numba gets)
-    or on list containers (what the Python path gets)."""
-    (x0, t_out, e0, r0, mu, gw, control, observe, plant_linear, ref_moving,
-     w2, cm, k, l, noise, rtol, atol) = args
-    arrays = [np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise]
-    if lists:
-        arrays = [a.tolist() for a in arrays]
-    z0, t_out, gw, cm, k, l, noise = arrays
-    out = np.zeros((len(t_out), 14))
-    status = _dopri._stepper(observe == 1, ref_moving == 1)(
-        z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-        w2, cm, k, l, noise, rtol, atol, out)
-    return out, status
-
-
-@pytest.mark.parametrize("scenario, expected", [
-    (ol.Scenario(horizon=50.0, output_dt=0.5, method=ol.Method.LQR),
-     _dopri.STATUS_OK),
-    (ol.Scenario(horizon=50.0, output_dt=0.5,
-                 method=ol.Method.OBSERVER_LQR,
-                 measurement_noise_sigma=(0.001, 0.001)),
-     _dopri.STATUS_OK),
-    # Observing without control, on the linear plant, toward a frozen
-    # reference.
-    (ol.Scenario(horizon=50.0, output_dt=0.5,
-                 method=ol.Method.OBSERVER_ONLY,
-                 plant_mode=ol.PlantMode.LINEAR,
-                 reference_mode=ol.ReferenceMode.CONSTANT_SETPOINT,
-                 measurement_noise_sigma=(0.001, 0.002)),
-     _dopri.STATUS_OK),
-    # The plunge of test_kernel_status_singular_radius.
-    (ol.Scenario(x0=ol.OrbitState((7000.0, 0.0), (-9.0, 0.0)),
-                 horizon=2000.0, output_dt=1.0,
-                 method=ol.Method.UNCONTROLLED),
-     _dopri.STATUS_SINGULAR_RADIUS),
-], ids=["lqr", "observer_lqr_noisy", "observer_only_linear_setpoint_noisy",
-        "singular_radius"])
-def test_container_paths_give_identical_bits(monkeypatch, scenario, expected):
-    (args,) = _kernel_calls(monkeypatch, lambda: ol.run_scenario(scenario))
-    # Where numba is installed, run its Python source all the way down.
-    rhs = _dopri._rhs_impl
-    monkeypatch.setattr(_dopri, "_rhs_impl", getattr(rhs, "py_func", rhs))
-    monkeypatch.setattr(_dopri, "_stepper", _dopri._build_stepper)
-    out_a, status_a = _run_kernel_source(args, lists=False)
-    out_l, status_l = _run_kernel_source(args, lists=True)
-    assert status_a == status_l == expected
-    assert np.array_equal(out_a, out_l)
 
 
 _H = float.fromhex
@@ -357,9 +238,8 @@ def test_stage_below_1_km_retries_and_its_run_is_pinned(monkeypatch):
                               rtol=1e-3, atol=1e-3)
     assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
         "9065938aecd4d58901c6f0de6cb429a8575f62ea05b9e837aa586aa27b8f5f81"
-    if not _dopri.USING_NUMBA:  # the compiled stepper binds the compiled RHS
-        assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
-        assert len(statuses) == 401
+    assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
+    assert len(statuses) == 401
 
 
 def test_held_noise_estimation_error_matches_zoh_recursion():
@@ -494,8 +374,10 @@ def test_linear_rows_match_linearize_plant(radius, sign):
     assert w2 == sign * s.constants.mu / radius ** 3
     assert np.array_equal(a, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                               [w2, 0.0, 0.0, 0.0], [0.0, w2, 0.0, 0.0]])
-    convert = np.ascontiguousarray if _dopri.USING_NUMBA \
-        else (lambda x: np.asarray(x, float).tolist())
+
+    def convert(x):
+        return np.asarray(x, float).tolist()
+
     cm, k, l = (convert(m) for m in (d.plant.c, d.lqr.k, d.l))
 
     rng = np.random.default_rng(7)

@@ -309,6 +309,42 @@ def test_compare_methods_shares_the_arc_and_the_spectra(monkeypatch):
     assert [e.stability for e in report.reports] == want
 
 
+def _rotated_metrics(phi):
+    """compare_methods on the default scenario at 400 s with x0, xf and the
+    SRP acceleration (through the disturbance matrix) turned by phi."""
+    c, s_ = math.cos(phi), math.sin(phi)
+
+    def turn(state):
+        (px, py), (vx, vy) = state.position, state.velocity
+        return ol.OrbitState((c * px - s_ * py, s_ * px + c * py),
+                             (c * vx - s_ * vy, s_ * vx + c * vy))
+
+    base = ol.Scenario()
+    s = ol.Scenario(horizon=400.0, x0=turn(base.x0), xf=turn(base.xf),
+                    disturbance_matrix=np.array(
+                        [[0.0, 0.0], [0.0, 0.0], [c, -s_], [s_, c]]))
+    return {r.method.value: r.metrics for r in ol.compare_methods(s).reports}
+
+
+def test_compare_methods_is_rotation_invariant():
+    # Turning the whole problem about the attractor changes no metric: the
+    # default weights are isotropic, and A is [[0, I], [w2 I, 0]].  An
+    # oracle that needs no earlier output bits.  Measured spreads over
+    # these angles, against the bounds: terminal errors 6e-15 relative
+    # (uncontrolled) and 8e-9 (observer LQR), against 1e-6; LQR's 1.009e-9
+    # km sits on its roundoff floor and moves by 1.1e-2 of it, 1.1e-11 km,
+    # against the 1e-10 km term; energies 6e-10 relative, against 1e-8.
+    ref = _rotated_metrics(0.0)
+    for phi in (0.3, 1.0, math.pi / 2, 2.5):
+        got = _rotated_metrics(phi)
+        for method, m in got.items():
+            want = ref[method]
+            assert abs(m.terminal_error_km - want.terminal_error_km) <= \
+                1e-6 * want.terminal_error_km + 1e-10, (method, phi)
+            assert abs(m.control_energy - want.control_energy) <= \
+                1e-8 * want.control_energy, (method, phi)
+
+
 def test_design_loops_use_its_gains_and_maps():
     # Every loop of the design is built from its own K, L, G and measurement
     # map C: a custom G and a scaled C show any fallback to B or to the

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Byte-identity matrix for the orbitloop CLI.
+"""Byte-identity matrix for the orbitloop CLI, and a report of how far two
+of its output trees differ.
 
     python3 tools/parity.py SRC OUT
+    python3 tools/parity.py --diff OLD NEW
 
 Runs a fixed matrix of CLI invocations, `python -m orbitloop.cli` with
 PYTHONPATH=SRC (the src/ directory of the checkout under test), and writes
@@ -28,12 +30,26 @@ and all seven commands on the 32 perfbench design_pool() scenarios at
 horizon_s=200.  The scenario files and the pool are read from the
 checkout that holds this script, so both sides of a comparison run the
 same inputs.  Standard library only; runs one CLI process at a time.
+
+With --diff, OLD and NEW are two such OUT trees.  For each run that
+differs it prints the exit-code and stderr.json changes, the files added
+and missing, and, for each changed CSV column (by header), JSON number (by
+key path, with list indices folded into []) and stdout line (with its
+numbers read as #), the largest absolute change and the largest relative
+change, |new - old| / max(|old|, |new|).  A file whose rows, columns or
+keys differ is reported as a changed layout.  A summary follows: runs
+unchanged, runs changed by group (the run name less its command, format
+and number), and the largest change per file kind (the file's path within
+its run).  Exits 0 when the trees are byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +109,174 @@ def matrix() -> list[tuple[str, str, dict, list[str], str]]:
     return runs
 
 
+def _json_cells(tree, key: str):
+    """(key path, leaf as JSON text) for each leaf of a JSON tree: a number
+    reads back as a float, a string keeps its quotes and does not."""
+    if isinstance(tree, dict):
+        for name, value in tree.items():
+            yield from _json_cells(value, f"{key}.{name}" if key else name)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _json_cells(value, f"{key}[]")
+    else:
+        yield key, json.dumps(tree)
+
+
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|\b(?:inf|nan)\b)", re.IGNORECASE)
+
+
+def _cells(path: Path) -> list[tuple[str, str]]:
+    """A file as (key, token) cells: a CSV's cells keyed by column header,
+    a JSON file's leaves by key path, and the numbers of a text file's
+    line keyed by the line with each number read as # and its spaces
+    squeezed (one empty cell for a line without numbers)."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = list(csv.reader(text.splitlines())) or [[]]
+        return [(header[j] if j < len(header) else f"column {j + 1}", cell)
+                for row in rows for j, cell in enumerate(row)]
+    if path.suffix == ".json":
+        try:
+            return list(_json_cells(json.loads(text), ""))
+        except json.JSONDecodeError:
+            pass  # compared as text
+    cells = []
+    for line in text.splitlines():
+        key = " ".join(_NUMBER.sub("#", line).split())
+        cells += [(key, n) for n in _NUMBER.findall(line)] or [(key, "")]
+    return cells
+
+
+def _change(old: str, new: str) -> tuple[float, float] | None:
+    """(absolute, relative) change between two numeric tokens, or None
+    when either is not a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if a == b:
+        return 0.0, 0.0
+    d = abs(b - a)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(a), abs(b))
+
+
+def _compare_file(old: Path, new: Path) -> tuple[dict, dict] | None:
+    """({key: (abs, rel)} of the largest moves of each key's numbers,
+    {key: count} of its other tokens that changed), or None when the two
+    files' keys differ."""
+    cells_old, cells_new = _cells(old), _cells(new)
+    if [k for k, _ in cells_old] != [k for k, _ in cells_new]:
+        return None
+    numbers, other = {}, {}
+    for (key, a), (_, b) in zip(cells_old, cells_new):
+        if a == b:
+            continue
+        change = _change(a, b)
+        if change is None:
+            other[key] = other.get(key, 0) + 1
+        else:
+            d, rel = numbers.get(key, (0.0, 0.0))
+            numbers[key] = (max(d, change[0]), max(rel, change[1]))
+    return numbers, other
+
+
+def _files(rundir: Path) -> set[str]:
+    return {p.relative_to(rundir).as_posix() for p in rundir.rglob("*")
+            if p.is_file()}
+
+
+def _read(path: Path) -> str:
+    return path.read_text().strip() if path.is_file() else "(none)"
+
+
+def _compare_run(old: Path, new: Path) -> tuple[list[str], dict]:
+    """Report lines for one run, and {file: {key: (abs, rel)}} of its
+    numbers that moved; no lines when the run's trees are identical."""
+    lines, moved = [], {}
+    files_old, files_new = _files(old), _files(new)
+    for name in ("exit.txt", "stderr.json"):
+        a, b = _read(old / name), _read(new / name)
+        if a != b:
+            label = "exit code" if name == "exit.txt" else "stderr"
+            lines.append(f"  {label}: {a} -> {b}")
+    for name in sorted(files_new - files_old - {"stderr.json"}):
+        lines.append(f"  added {name}")
+    for name in sorted(files_old - files_new - {"stderr.json"}):
+        lines.append(f"  missing {name}")
+    for name in sorted(files_old & files_new - {"exit.txt", "stderr.json"}):
+        if (old / name).read_bytes() == (new / name).read_bytes():
+            continue
+        result = _compare_file(old / name, new / name)
+        if result is None:
+            lines.append(f"  {name}: layout changed")
+            continue
+        numbers, other = result
+        if not numbers and not other:
+            lines.append(f"  {name}: bytes differ, tokens equal")
+        for key, (d, rel) in numbers.items():
+            lines.append(f"  {name}  {key}: max abs {d:.3g}, max rel {rel:.3g}")
+        for key, count in other.items():
+            lines.append(f"  {name}  {key}: {count} non-numeric cells changed")
+        moved[name] = numbers
+    return lines, moved
+
+
+def _group(run: str) -> str:
+    """The run name less a trailing command or format, then a trailing
+    number: pool_03_simulate and pool_04_lambert are both "pool"."""
+    run = re.sub("_(" + "|".join(COMMANDS + ("csv", "json")) + ")$", "", run)
+    return re.sub(r"(_\d+|[-+]\d+)$", "", run)
+
+
+def diff(old: Path, new: Path) -> int:
+    for tree in (old, new):
+        if not tree.is_dir():
+            print(f"{tree} is not a directory", file=sys.stderr)
+            return 2
+    runs_old = {p.name for p in old.iterdir() if p.is_dir()}
+    runs_new = {p.name for p in new.iterdir() if p.is_dir()}
+    runs = sorted(runs_old | runs_new)
+    groups, changed = {}, {}
+    moves = {}  # file kind: [(abs, rel, run, key), ...]
+    for run in runs:
+        group = groups.setdefault(_group(run), [0, 0])
+        group[1] += 1
+        if run not in runs_new or run not in runs_old:
+            lines = ["  run missing" if run not in runs_new else "  run added"]
+            moved = {}
+        else:
+            lines, moved = _compare_run(old / run, new / run)
+        if not lines:
+            continue
+        group[0] += 1
+        changed[run] = lines
+        for name, numbers in moved.items():
+            moves.setdefault(name, []).extend(
+                (d, rel, run, key) for key, (d, rel) in numbers.items())
+    for run, lines in changed.items():
+        print(run)
+        print("\n".join(lines))
+    print(f"{len(runs)} runs: {len(runs) - len(changed)} unchanged, "
+          f"{len(changed)} changed")
+    for name, (count, total) in sorted(groups.items()):
+        if count:
+            print(f"  {name}: {count} of {total} runs changed")
+    if moves:
+        print("largest change per file kind:")
+    for name, entries in sorted(moves.items()):
+        d, _, run_a, key_a = max(entries)
+        rel, run_r, key_r = max((e[1], e[2], e[3]) for e in entries)
+        print(f"  {name}: abs {d:.3g} ({run_a}, {key_a}); "
+              f"rel {rel:.3g} ({run_r}, {key_r})")
+    return 1 if changed else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
