@@ -1,9 +1,16 @@
 """Adaptive Dormand-Prince 4(5) propagation kernel (the hot loop).
 
 A stepper advances the 12-state closed-loop system — true plant,
-observer estimation error, and reference arc — between output grid points,
-honoring rtol/atol and landing exactly on every grid time (so piecewise-
-constant measurement noise never straddles a sample interval).
+observer estimation error, and reference arc — honoring rtol/atol.  A run
+with control or an observer steps between output grid points and lands
+exactly on every grid time, so piecewise-constant measurement noise never
+straddles a sample interval and each sample's control is that of its own
+state.  A free flight (neither control nor observer: `uncontrolled` runs,
+`drift`, the `lambert` closure check, every `propagate_two_body`) lands
+only on every stride-th grid time, at most _FREE_SEGMENTS segments in all,
+recording each accepted step, and `_fill_dense` fills the rows between
+from Shampine's quartic dense output of the Dormand-Prince pair.  A grid
+of at most _FREE_SEGMENTS + 1 times is landed on throughout.
 
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
 by `_stepper_source`, one per layout of moving blocks: the plant always
@@ -20,15 +27,15 @@ A frozen block (e without `observe`, a constant reference) has derivative
 each stage input and the new state of a frozen lane is z_i + 0.0: the
 stepper computes that once per step attempt and discards the frozen lanes'
 derivatives.  A -0.0 in such a lane thus turns into +0.0 with the first
-step, as stepping lane by lane gives.
+step, as stepping lane by lane gives, and the dense output writes it so.
 
 The kernel takes plain Python floats and nested lists, indexing its 2-D
 inputs as x[i][j], and `propagate_grid`, its only wrapper, converts its
 inputs to them: an element of an ndarray reads back as a numpy scalar,
 whose arithmetic is several times slower than a float's.  The stepper
-writes each sample as one row (z_0, ..., z_11, ux, uy) of a preallocated
-(n, 14) ndarray, and `propagate_grid` raises NumericalError for any
-status but STATUS_OK.
+writes each sample it lands on as one row (z_0, ..., z_11, ux, uy) of a
+preallocated (n, 14) ndarray, and `propagate_grid` raises NumericalError
+for any status but STATUS_OK.
 
 State layout, known only to this module: z = [x (true, 4) | e = x - xhat
 (4) | reference (4)], which `propagate_grid` takes and returns as three
@@ -47,7 +54,11 @@ The step controller's RMS error norm skips the frozen lanes, whose terms
 are +0.0, but divides by all 12 states, frozen blocks included, so a run is
 held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
 with one frozen block (uncontrolled and LQR runs on a moving reference)
-and by sqrt(3) with two (free flight: `drift`, the `lambert` closure).
+and by sqrt(3) with two (`drift`, the `lambert` closure).  A free flight's
+steps are held to a tenth of its run, not to the grid spacing, so that
+loosening sets their sizes.  The divisor stays 12 so that free flights on
+short grids keep their steps and bits: dividing by the moving lanes would
+move the default `lambert` closure residual from 9.60e-5 to 6.10e-5 km.
 """
 
 from __future__ import annotations
@@ -73,6 +84,10 @@ _STATUS_MESSAGES = {
 }
 
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
+# The most segments a free flight lands on, so that none of its steps spans
+# much more than a tenth of the run, as with ode45's default MaxStep; a grid
+# of at most _FREE_SEGMENTS + 1 times is landed on throughout.
+_FREE_SEGMENTS = 10
 
 
 # What _rhs_impl returns when the plant or the reference is within 1 km of
@@ -188,7 +203,7 @@ _TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # stage-s derivative ks_i, and its new state zn_i.
 _STEPPER_TEMPLATE = '''
 def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-            w2, cm, k, l, noise, rtol, atol, out):
+            w2, cm, k, l, noise, rtol, atol, out, steps):
     @load_z0
     # The first RHS evaluation, at z0, gives sample 0's control.
     nx = noise[0][0]
@@ -199,7 +214,7 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
     @store_sample_0
 
     h = -1.0
-    steps = 0
+    tries = 0
     for seg in range(len(t_out) - 1):
         t = t_out[seg]
         t_end = t_out[seg + 1]
@@ -214,8 +229,8 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
             if st != STATUS_OK:
                 return st
         while t_end - t > 1e-10 * max(1.0, abs(t_end)):
-            steps += 1
-            if steps > _MAX_STEPS:
+            tries += 1
+            if tries > _MAX_STEPS:
                 return STATUS_STEP_BUDGET
             remaining = t_end - t
             clamped = h >= remaining
@@ -236,6 +251,7 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
 
             if norm <= 1.0:
                 @check_finite
+                @record
                 t = t_end if clamped else t + hs
                 @accept
                 if norm == 0.0:
@@ -341,6 +357,13 @@ def _stepper_source(observe, ref_moving):
         "error_norm": error_norm,
         "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
                          "    return STATUS_NOT_FINITE"],
+        # A free run's accepted step, for the dense output: its start time
+        # and size, then the moving lanes' start state and k1 to k7.  No
+        # observer run steps freely, so those layouts omit the block.
+        "record": [] if observe else [
+            "if steps is not None:",
+            f"    steps.append((t, hs, {names('z_{}')}, "
+            + ", ".join(names(f"k{s}_{{}}") for s in range(1, 8)) + "))"],
         "accept": [f"{names('z_{}', lanes)} = {names('zn_{}', lanes)}",
                    f"{names('k1_{}')} = {names('k7_{}')}"],
         "store_sample": [f"out[seg + 1] = {sample}"],
@@ -377,15 +400,85 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     across the output grid t_out on the plant with A = [[0, I], [w2 I, 0]],
     under the forcing gw = G w; returns the (n, 4) x, e and r series and
     the (n, 2) control series u, or raises NumericalError with the kernel's
-    status if the run fails.  `control` and `observe` are the ints 0 or 1."""
-    out = np.empty((len(t_out), 14))
+    status if the run fails.  `control` and `observe` are the ints 0 or 1.
+
+    A run with control or an observer lands on every grid time.  A free
+    flight (neither) on more than _FREE_SEGMENTS + 1 grid times lands only
+    on every stride-th grid time and the last, stride being the least that
+    leaves at most _FREE_SEGMENTS segments, and `_fill_dense` fills the
+    rows between from its accepted steps.  Row 0 is z0 and the last row the
+    stepper's final state; a shorter grid is landed on throughout."""
+    n = len(t_out)
+    out = np.empty((n, 14))
+    t_grid = np.asarray(t_out, float)
+    rows, steps = out, None
+    stride = -(-(n - 1) // _FREE_SEGMENTS)
+    if control == 0 and observe == 0 and stride > 1:
+        landed = np.r_[0:n - 1:stride, n - 1]
+        rows, steps = np.empty((landed.size, 14)), []
+        t_out, noise = t_grid[landed], np.asarray(noise)[landed[:-1]]
     z0, t_out, gw, cm, k, l, noise = (
         np.asarray(a, float).tolist() for a in
         (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise))
     status = _stepper(observe == 1, ref_moving == 1)(
         z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
-        float(w2), cm, k, l, noise, float(rtol), float(atol), out)
+        float(w2), cm, k, l, noise, float(rtol), float(atol), rows, steps)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
+    if steps is not None:
+        # Every row takes the frozen lanes and the +0.0 control of the last
+        # (z + 0.0 once a step is taken, z0 if none), then its moving lanes
+        # from the dense output, except the rows the stepper landed on.
+        out[:] = rows[-1]
+        _fill_dense(out, t_grid, steps, ref_moving == 1)
+        out[landed] = rows
     return (out[:, 0:4].copy(), out[:, 4:8].copy(), out[:, 8:12].copy(),
             out[:, 12:14].copy())
+
+
+# Shampine's quartic interpolant for the Dormand-Prince pair (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.6, with Shampine's optimal c6): in a
+# step of size h from y, y(t + theta h) = y + h sum_j b_j(theta) k_j, with
+# b_j(theta) = sum_c P[j][c] theta^(c + 1), stage 7 being the FSAL stage at
+# the new state.  Stage 2's row is zero.
+_DENSE_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _fill_dense(out, t, steps, ref_moving):
+    """Write into rows 1 to n - 2 of a free run's (n, 14) output, on the
+    grid t, the dense output of the accepted steps the stepper recorded:
+    the moving lanes (the plant, and the reference with `ref_moving`) of
+    each row from the step its time falls in.  Every sum runs elementwise
+    in a fixed order, one step's rows at a time."""
+    if not steps:
+        return  # a span too short to step
+    lanes = [0, 1, 2, 3, 8, 9, 10, 11] if ref_moving else [0, 1, 2, 3]
+    m = len(lanes)
+    rec = np.array(steps)
+    start, h, y = rec[:, 0], rec[:, 1], rec[:, 2:2 + m]
+    k = rec[:, 2 + m:].reshape(len(steps), 7, m)
+    # qc = h sum_j P[j][c] k_j, the theta^(c + 1) coefficient of y(theta) - y.
+    q0, q1, q2, q3 = (
+        h[:, None] * sum(p[c] * k[:, j] for j, p in enumerate(_DENSE_P)
+                         if p[c])
+        for c in range(4))
+    inner = t[1:-1]
+    # Step s fills the rows of inner from bounds[s] to bounds[s + 1].
+    bounds = np.r_[0, np.searchsorted(inner, start[1:]), inner.size]
+    for s in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        th = ((inner[bounds[s]:bounds[s + 1]] - start[s]) / h[s])[:, None]
+        out[bounds[s] + 1:bounds[s + 1] + 1, lanes] = y[s] + th * (
+            q0[s] + th * (q1[s] + th * (q2[s] + th * q3[s])))

@@ -248,7 +248,11 @@ def propagate_two_body(
     atol: float = 1.0e-9,
 ) -> np.ndarray:
     """Free-flight propagation of [p, q, pdot, qdot] on the given time grid
-    under central gravity plus an optional constant SRP acceleration."""
+    under central gravity plus an optional constant SRP acceleration.  On a
+    grid of more than 11 times the run lands on at most 11 of them, the
+    first and last among them, and takes the other rows from the
+    Dormand-Prince dense output (`_dopri.propagate_grid`); a shorter grid
+    is landed on throughout."""
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
     if not all(math.isfinite(a) for a in a_srp):
@@ -338,7 +342,11 @@ def run_scenario(s: Scenario, design: ScenarioDesign | None = None,
     The true dynamics are the nonlinear planar two-body equations with SRP
     (or the linearized model when plant_mode is LINEAR); the observer always
     integrates the linearized model driven by the measured positions, and
-    the whole coupled system advances as one ODE.  `design` is the
+    the whole coupled system advances as one ODE.  A run with control or
+    an observer lands on every output time; an uncontrolled run is free
+    flight, which lands on at most 11 output times and takes the other rows
+    from the Dormand-Prince dense output (`_dopri.propagate_grid`).  Only the observer methods draw measurement
+    noise, since nothing else reads the measurement.  `design` is the
     scenario's design and `r0` the reference's initial state
     (`_reference_start`); what is not given is computed here.
     """
@@ -352,8 +360,9 @@ def run_scenario(s: Scenario, design: ScenarioDesign | None = None,
     if r0 is None:
         r0 = _reference_start(s)
 
+    # A held noise sample that changes costs the kernel a fresh first stage.
     sigma = s.measurement_noise_sigma
-    if sigma[0] > 0 or sigma[1] > 0:
+    if has_observer and (sigma[0] > 0 or sigma[1] > 0):
         rng = np.random.default_rng(s.noise_seed)
         noise = rng.standard_normal((t_out.size - 1, 2))
         noise[:, 0] *= sigma[0]

@@ -2,9 +2,11 @@
 oracles, pinned output bits, and the statuses that end a run."""
 
 import hashlib
+import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +242,101 @@ def test_stage_below_1_km_retries_and_its_run_is_pinned(monkeypatch):
         "9065938aecd4d58901c6f0de6cb429a8575f62ea05b9e837aa586aa27b8f5f81"
     assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
     assert len(statuses) == 401
+
+    # The same fall on 12 grid times is a free flight that lands on every
+    # second one and fills the rest from dense output; it too retries once
+    # (landing on all 12 took 719 RHS calls).
+    statuses.clear()
+    x = ol.propagate_two_body(ol.OrbitState((7000.0, 0.0), (0.0, 0.15)),
+                              np.linspace(0.0, 1500.0, 12),
+                              rtol=1e-3, atol=1e-3)
+    assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
+        "2bd6846ce0970816392cd4e8d58e2d0cda33e9f01f16ff559a27ad76217d2690"
+    assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
+    assert len(statuses) == 403
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = []
+    rhs = _dopri._rhs_impl
+
+    def counting(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    monkeypatch.setattr(_dopri, "_rhs_impl", counting)
+    return calls
+
+
+def test_lqr_run_draws_no_measurement_noise(monkeypatch):
+    # Only the observer reads the measurement, so a noisy LQR run must make
+    # the RHS calls and give the bits of a noise-free one; re-evaluating the
+    # first stage at each held-noise change made 7000 calls against 6001.
+    calls = _count_rhs_calls(monkeypatch)
+    runs = []
+    for sigma in ((0.0, 0.0), (1e-3, 1e-3)):
+        calls.clear()
+        rec = ol.run_scenario(ol.Scenario(horizon=100.0, method=ol.Method.LQR,
+                                          measurement_noise_sigma=sigma))
+        runs.append((len(calls), rec.true_states.tobytes(),
+                     rec.controls.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 6001
+
+
+def test_two_point_free_flights_are_pinned(tmp_path):
+    # A 2-point grid is one segment stepped to its end, with no dense
+    # output: these bits and lambert's closure residual (which perfbench's
+    # references hold to 1e-6 relative) were recorded with the kernel that
+    # landed on every grid time.
+    from orbitloop import cli
+
+    x = ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1000.0]))
+    assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
+        "c84bc1d6159572d8b66a0339f7e3b58ff15c03cb48e4585758baf4cbda4b8b26"
+    (tmp_path / "s.json").write_text("{}")
+    assert cli.dispatch("lambert", tmp_path / "s.json", tmp_path / "out",
+                        "csv") == 0
+    payload = json.loads((tmp_path / "out" / "lambert.json").read_text())
+    assert payload["closure_residual_km"] == 9.597688733000464e-05
+
+
+def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
+    # The default uncontrolled run, 400 s on the 0.1 s grid, lands on every
+    # 400th sample and interpolates the others: 79 RHS calls, where landing
+    # on every sample took 24001.  Against an rtol 1e-12 / atol 1e-13 run,
+    # the plant's positions read 1.5e-7 km and the reference's 1.8e-6 km at
+    # most; the bounds leave a margin of about 6.7 and 5.6.
+    s = ol.Scenario(horizon=400.0, method=ol.Method.UNCONTROLLED)
+    calls = _count_rhs_calls(monkeypatch)
+    rec = ol.run_scenario(s)
+    assert len(calls) < 200
+    tight = ol.run_scenario(replace(s, rtol=1e-12, atol=1e-13))
+    assert np.abs(rec.true_states[:, :2] - tight.true_states[:, :2]).max() \
+        <= 1e-6
+    assert np.abs(rec.reference[:, :2] - tight.reference[:, :2]).max() \
+        <= 1e-5
+    assert np.array_equal(_bits(rec.true_states[0]), _bits(s.x0.as_vector()))
+    assert not np.signbit(rec.controls).any() and not rec.controls.any()
+
+    # A frozen lane's -0.0 turns into +0.0 with the first step, in the
+    # interpolated rows (odd) as in the landed ones (even): a constant
+    # reference and an error block holding -0.0, on a free flight's 21-point
+    # grid.
+    x0 = ol.Scenario().x0.as_vector()
+    x, e, r, u = _dopri.propagate_grid(
+        x0, np.linspace(0.0, 40.0, 21), np.full(4, -0.0),
+        np.array(PIN_SETPOINT), 398600.4418, PIN_GW, 0, 0, 0, 0, 0.0,
+        PIN_C, PIN_K, PIN_L, np.zeros((20, 2)), 1e-8, 1e-9)
+    assert np.array_equal(_bits(e[0]), _bits(np.full(4, -0.0)))
+    assert np.array_equal(_bits(e[1:]), _bits(np.zeros((20, 4))))
+    assert np.array_equal(_bits(r[0]), _bits(PIN_SETPOINT))
+    assert np.array_equal(_bits(r[1:]),
+                          _bits([[0.0, 7000.0, 7.546, 0.0]] * 20))
+    assert not np.signbit(u).any() and not u.any()
+    # A span too short to step leaves every row at the initial state.
+    x = ol.propagate_two_body(ol.Scenario().x0, np.linspace(0.0, 2e-12, 12))
+    assert np.array_equal(_bits(x), _bits([x0] * 12))
 
 
 def test_held_noise_estimation_error_matches_zoh_recursion():
