@@ -1,16 +1,17 @@
 """Adaptive Dormand-Prince 4(5) propagation kernel (the hot loop).
 
 A stepper advances the 12-state closed-loop system — true plant,
-observer estimation error, and reference arc — honoring rtol/atol.  A run
-with control or an observer steps between output grid points and lands
-exactly on every grid time, so piecewise-constant measurement noise never
-straddles a sample interval and each sample's control is that of its own
-state.  A free flight (neither control nor observer: `uncontrolled` runs,
-`drift`, the `lambert` closure check, every `propagate_two_body`) lands
-only on every stride-th grid time, at most _FREE_SEGMENTS segments in all,
-recording each accepted step, and `_fill_dense` fills the rows between
-from Shampine's quartic dense output of the Dormand-Prince pair.  A grid
-of at most _FREE_SEGMENTS + 1 times is landed on throughout.
+observer estimation error, and reference arc — honoring rtol/atol.  Only a
+run with an observer lands exactly on every grid time, so piecewise-constant
+measurement noise never straddles a sample interval.  A run without one (a
+free flight: `uncontrolled` runs, `drift`, the `lambert` closure check,
+every `propagate_two_body`; or an `lqr` run) lands only on every stride-th
+grid time and the last, at most _FREE_SEGMENTS segments in all, recording
+each accepted step, and `_fill_dense` fills the rows between from
+Shampine's quartic dense output of the Dormand-Prince pair.  An LQR run's
+segments are also at most _CLOSED_LOOP_SEGMENT / rho(A - B K) long, and
+its filled rows' control is u = -K (x - e - r) at their state.  A grid of
+at most _FREE_SEGMENTS + 1 times is landed on throughout.
 
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
 by `_stepper_source`, one per layout of moving blocks: the plant always
@@ -54,9 +55,10 @@ The step controller's RMS error norm skips the frozen lanes, whose terms
 are +0.0, but divides by all 12 states, frozen blocks included, so a run is
 held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
 with one frozen block (uncontrolled and LQR runs on a moving reference)
-and by sqrt(3) with two (`drift`, the `lambert` closure).  A free flight's
-steps are held to a tenth of its run, not to the grid spacing, so that
-loosening sets their sizes.  The divisor stays 12 so that free flights on
+and by sqrt(3) with two (`drift`, the `lambert` closure).  The steps of a
+run without an observer are held to a tenth of its run, and an LQR run's
+also to _CLOSED_LOOP_SEGMENT / rho(A - B K), not to the grid spacing, so
+that loosening sets their sizes.  The divisor stays 12 so that free flights on
 short grids keep their steps and bits: dividing by the moving lanes would
 move the default `lambert` closure residual from 9.60e-5 to 6.10e-5 km.
 """
@@ -88,6 +90,14 @@ _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
 # much more than a tenth of the run, as with ode45's default MaxStep; a grid
 # of at most _FREE_SEGMENTS + 1 times is landed on throughout.
 _FREE_SEGMENTS = 10
+# An LQR run's segments are also at most this over the spectral radius rho
+# of its linearized closed loop A - B K, so that its steps stay off the
+# Dormand-Prince stability limit on the closed-loop poles, to which free
+# steps grow.  On the default scenario (rho = 1 /s) at 400 s the capped
+# run ends 1.0048e-9 km from the target in 1609 RHS calls, against
+# 1.0102e-9 km at rtol 1e-12 and 2.93e-7 km in 1207 calls uncapped;
+# landing on every 0.1 s sample took 24001 calls.
+_CLOSED_LOOP_SEGMENT = 2.0
 
 
 # What _rhs_impl returns when the plant or the reference is within 1 km of
@@ -402,18 +412,32 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     the (n, 2) control series u, or raises NumericalError with the kernel's
     status if the run fails.  `control` and `observe` are the ints 0 or 1.
 
-    A run with control or an observer lands on every grid time.  A free
-    flight (neither) on more than _FREE_SEGMENTS + 1 grid times lands only
-    on every stride-th grid time and the last, stride being the least that
-    leaves at most _FREE_SEGMENTS segments, and `_fill_dense` fills the
-    rows between from its accepted steps.  Row 0 is z0 and the last row the
-    stepper's final state; a shorter grid is landed on throughout."""
+    Only a run with an observer lands on every grid time.  A run without
+    one on more than _FREE_SEGMENTS + 1 grid times lands only on every
+    stride-th grid time and the last, stride being the least that leaves at
+    most _FREE_SEGMENTS segments, and `_fill_dense` fills the rows between
+    from its accepted steps.  With control the stride is also at most the
+    grid intervals that fit, at their longest, in _CLOSED_LOOP_SEGMENT /
+    rho(A - B K), rho being the spectral radius of the closed loop
+    linearized through w2 and k, and each filled row's control is
+    u = -K (x - e - r), summed in _rhs_impl's order.  Row 0 is z0 and the
+    last row the stepper's final state; a grid that leaves a stride of 1
+    is landed on throughout."""
     n = len(t_out)
     out = np.empty((n, 14))
     t_grid = np.asarray(t_out, float)
     rows, steps = out, None
     stride = -(-(n - 1) // _FREE_SEGMENTS)
-    if control == 0 and observe == 0 and stride > 1:
+    if control == 1 and observe == 0 and stride > 1:
+        closed = np.zeros((4, 4))  # A - B K
+        closed[0, 2] = closed[1, 3] = 1.0
+        closed[2, 0] = closed[3, 1] = w2
+        closed[2:] -= k
+        longest = (np.abs(np.linalg.eigvals(closed)).max()
+                   * np.diff(t_grid).max())
+        if stride * longest > _CLOSED_LOOP_SEGMENT:
+            stride = max(1, int(_CLOSED_LOOP_SEGMENT / longest))
+    if observe == 0 and stride > 1:
         landed = np.r_[0:n - 1:stride, n - 1]
         rows, steps = np.empty((landed.size, 14)), []
         t_out, noise = t_grid[landed], np.asarray(noise)[landed[:-1]]
@@ -426,11 +450,17 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     if steps is not None:
-        # Every row takes the frozen lanes and the +0.0 control of the last
-        # (z + 0.0 once a step is taken, z0 if none), then its moving lanes
-        # from the dense output, except the rows the stepper landed on.
+        # Every row takes the frozen lanes and the control of the last (z +
+        # 0.0 once a step is taken, z0 if none), then its moving lanes from
+        # the dense output and, with control, u = -K (x - e - r) in
+        # _rhs_impl's order, except the rows the stepper landed on.
         out[:] = rows[-1]
         _fill_dense(out, t_grid, steps, ref_moving == 1)
+        if control == 1:
+            d = out[:, 0:4] - out[:, 4:8] - out[:, 8:12]
+            for i, (k0, k1, k2, k3) in enumerate(k):
+                out[:, 12 + i] = (0.0 - k0 * d[:, 0] - k1 * d[:, 1]
+                                  - k2 * d[:, 2] - k3 * d[:, 3])
         out[landed] = rows
     return (out[:, 0:4].copy(), out[:, 4:8].copy(), out[:, 8:12].copy(),
             out[:, 12:14].copy())
@@ -462,7 +492,7 @@ def _fill_dense(out, t, steps, ref_moving):
     grid t, the dense output of the accepted steps the stepper recorded:
     the moving lanes (the plant, and the reference with `ref_moving`) of
     each row from the step its time falls in.  Every sum runs elementwise
-    in a fixed order, one step's rows at a time."""
+    in a fixed order, for all rows at once."""
     if not steps:
         return  # a span too short to step
     lanes = [0, 1, 2, 3, 8, 9, 10, 11] if ref_moving else [0, 1, 2, 3]
@@ -476,9 +506,12 @@ def _fill_dense(out, t, steps, ref_moving):
                          if p[c])
         for c in range(4))
     inner = t[1:-1]
-    # Step s fills the rows of inner from bounds[s] to bounds[s + 1].
-    bounds = np.r_[0, np.searchsorted(inner, start[1:]), inner.size]
-    for s in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        th = ((inner[bounds[s]:bounds[s + 1]] - start[s]) / h[s])[:, None]
-        out[bounds[s] + 1:bounds[s + 1] + 1, lanes] = y[s] + th * (
-            q0[s] + th * (q1[s] + th * (q2[s] + th * q3[s])))
+    s = np.searchsorted(start[1:], inner, side="right")  # each row's step
+    th = ((inner - start[s]) / h[s])[:, None]
+    # y + th (q0 + th (q1 + th (q2 + th q3))), in place: a product or a sum
+    # rounds the same with its operands swapped.
+    acc = q3[s]
+    for q in (q2, q1, q0, y):
+        acc *= th
+        acc += q[s]
+    out[1:-1, lanes] = acc

@@ -251,8 +251,10 @@ def propagate_two_body(
     under central gravity plus an optional constant SRP acceleration.  On a
     grid of more than 11 times the run lands on at most 11 of them, the
     first and last among them, and takes the other rows from the
-    Dormand-Prince dense output (`_dopri.propagate_grid`); a shorter grid
-    is landed on throughout."""
+    Dormand-Prince dense output (`_dopri.propagate_grid`), as every run
+    without an observer does; a shorter grid is landed on throughout.  Free
+    flight has no closed loop, so no 2 / rho(A - B K) cap shortens its
+    segments as it does an LQR run's."""
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
     if not all(math.isfinite(a) for a in a_srp):
@@ -342,13 +344,16 @@ def run_scenario(s: Scenario, design: ScenarioDesign | None = None,
     The true dynamics are the nonlinear planar two-body equations with SRP
     (or the linearized model when plant_mode is LINEAR); the observer always
     integrates the linearized model driven by the measured positions, and
-    the whole coupled system advances as one ODE.  A run with control or
-    an observer lands on every output time; an uncontrolled run is free
-    flight, which lands on at most 11 output times and takes the other rows
-    from the Dormand-Prince dense output (`_dopri.propagate_grid`).  Only the observer methods draw measurement
-    noise, since nothing else reads the measurement.  `design` is the
-    scenario's design and `r0` the reference's initial state
-    (`_reference_start`); what is not given is computed here.
+    the whole coupled system advances as one ODE.  Only a run with an
+    observer lands on every output time.  An uncontrolled or LQR run lands
+    on at most 11 of them and takes the other rows from the Dormand-Prince
+    dense output (`_dopri.propagate_grid`); an LQR run lands at least every
+    2 / rho(A - B K) seconds, rho being the closed loop's spectral radius,
+    and each filled row's control is -K (x - r) at its own state.  Only the
+    observer methods draw measurement noise, since nothing else reads the
+    measurement.  `design` is the scenario's design and `r0` the
+    reference's initial state (`_reference_start`); what is not given is
+    computed here.
     """
     d = synthesize_for_scenario(s) if design is None else design
     a_srp = srp_accel(s.srp, s.spacecraft, s.constants)

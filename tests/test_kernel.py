@@ -2,11 +2,13 @@
 oracles, pinned output bits, and the statuses that end a run."""
 
 import hashlib
+import importlib
 import json
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,19 +182,21 @@ def _pinned_run(control, observe, plant_linear, ref_moving, noisy):
         PIN_K, PIN_L, noise, 1e-8, 1e-9)
 
 
-# sha256 of the x, e, r and u series as little-endian float64, recorded
-# with the loop-per-lane kernel that preceded the generated steppers.
+# sha256 of the x, e, r and u series as little-endian float64.  The
+# observer layouts were recorded with the loop-per-lane kernel that preceded
+# the generated steppers, the LQR layouts with the kernel that fills their
+# rows between landed grid times from dense output.
 @pytest.mark.parametrize("layout, digests", [
     ((1, 0, 0, 0, False), (
-        "a0d83e8dee842a34945aa5f8d67f7460619ef574e22fd4f720adad92a68c1edd",
+        "8b661d6415f502dabfc2fd07acc252c26fea04a00556cfe3c006586c138d9995",
         "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
         "14e827439fdf713d9e4dacb6186b3dbf830b45862a38f3a0bf2e880ec0a31749",
-        "f17dc86d7332c4092a759dc9fac238452714da2685813e96c828f3e2d603eb0c")),
+        "46845563973e6f3df2ed2560f9a9d7fa0a566b7d8785d0828d0451db2984cc8b")),
     ((1, 0, 1, 1, False), (
-        "dca716199feff16812756b738a2caf96c1b0e2678e2f5593aa94da2565b6eefc",
+        "b699d9f7694558fbcc4432b52660c6e456791306822575d73792d834236a58cf",
         "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
-        "0676f326bec6162a9baf1b20f9af5b969931dcd4d1885755a2c960da845c7d38",
-        "74c1d4e63d705088d97945e3aea2be8e083e9f5bb4300257d7e6994721f05730")),
+        "d470d2c566fcd922224aabdbffc874d73e2272b36cbab91470fdb05b6a6e9cec",
+        "de6ea7a56ee3502f0443d0718e02a8c8d7c4d19de863e86a34ff95b80bab4e25")),
     ((0, 1, 1, 0, True), (
         "574fee90dadc90f34bb87acceef4cc6f5ec92e0180273b4f7e2a121e56d493d2",
         "db6a289fc73946e4d768f5139e84672f3aa6cdafe6fbc7d099eae567c47c2dc0",
@@ -270,8 +274,9 @@ def _count_rhs_calls(monkeypatch):
 
 def test_lqr_run_draws_no_measurement_noise(monkeypatch):
     # Only the observer reads the measurement, so a noisy LQR run must make
-    # the RHS calls and give the bits of a noise-free one; re-evaluating the
-    # first stage at each held-noise change made 7000 calls against 6001.
+    # the RHS calls and give the bits of a noise-free one.  Landing on every
+    # 0.1 s sample took 6001 calls, and re-evaluating the first stage at
+    # each held-noise change there 7000.
     calls = _count_rhs_calls(monkeypatch)
     runs = []
     for sigma in ((0.0, 0.0), (1e-3, 1e-3)):
@@ -281,7 +286,7 @@ def test_lqr_run_draws_no_measurement_noise(monkeypatch):
         runs.append((len(calls), rec.true_states.tobytes(),
                      rec.controls.tobytes()))
     assert runs[0] == runs[1]
-    assert runs[0][0] == 6001
+    assert runs[0][0] == 643
 
 
 def test_two_point_free_flights_are_pinned(tmp_path):
@@ -337,6 +342,80 @@ def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
     # A span too short to step leaves every row at the initial state.
     x = ol.propagate_two_body(ol.Scenario().x0, np.linspace(0.0, 2e-12, 12))
     assert np.array_equal(_bits(x), _bits([x0] * 12))
+
+
+@pytest.mark.parametrize("layout", [(1, 0, 0, 0, False), (1, 0, 1, 1, False)],
+                         ids=["lqr_setpoint_nonlinear", "lqr_arc_linear"])
+def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
+        monkeypatch, layout):
+    # An LQR run lands on some grid times and fills the rows between from
+    # dense output.  The landed rows are the stepper's own, and every row's
+    # control is the one _rhs_impl gives at that row's state, bit for bit.
+    landed = []
+    build = _dopri._stepper
+
+    def recording(observe, ref_moving):
+        stepper = build(observe, ref_moving)
+
+        def run(z0, t_out, *args):
+            status = stepper(z0, t_out, *args)
+            landed.append((t_out, args[-2].copy()))  # the grid and rows
+            return status
+        return run
+
+    monkeypatch.setattr(_dopri, "_stepper", recording)
+    out = np.hstack(_pinned_run(*layout))
+    ((t_landed, rows),) = landed
+    t = np.arange(41) * 0.5
+    idx = np.searchsorted(t, t_landed)
+    assert np.array_equal(t[idx], t_landed) and 2 < idx.size < t.size
+    assert np.array_equal(_bits(out[idx]), _bits(rows))
+    plant_linear, ref_moving = layout[2:4]
+    for row in out:
+        _, ux, uy, *_ = _dopri._rhs_impl(
+            tuple(row[:12].tolist()), 398600.4418, PIN_GW, 1, 0,
+            plant_linear, ref_moving, PIN_W2, PIN_C, PIN_K, PIN_L, 0.0, 0.0)
+        assert np.array_equal(_bits(row[12:]), _bits([ux, uy]))
+
+
+def _lqr_terminal_error(s, **tolerances):
+    s = replace(s, method=ol.Method.LQR, **tolerances)
+    return ol.compute_metrics(ol.run_scenario(s), s.xf).terminal_error_km
+
+
+@pytest.mark.parametrize("horizon", [400.0, 4000.0])
+def test_free_lqr_keeps_its_converged_terminal_error(monkeypatch, horizon):
+    # LQR's segments, and so its steps, are capped at 2 / rho(A - B K),
+    # which keeps them off the Dormand-Prince stability limit on the
+    # closed-loop poles.  Measured, at the default tolerances and at rtol
+    # 1e-12 / atol 1e-13: 1.0048e-9 against 1.0102e-9 km at 400 s, and
+    # 1.0207e-9 against 0.9921e-9 km at 4000 s.  Uncapped steps ended
+    # 2.93e-7 km and 9.56e-9 km from the target.
+    s = ol.Scenario(horizon=horizon)
+    calls = _count_rhs_calls(monkeypatch)
+    got = _lqr_terminal_error(s)
+    if horizon == 400.0:
+        # 1609 calls, where landing on every 0.1 s sample took 24001.
+        assert len(calls) < 2500
+    tight = _lqr_terminal_error(s, rtol=1e-12, atol=1e-13)
+    assert tight / 2 <= got <= 2 * tight
+
+
+@pytest.mark.filterwarnings("ignore:observer speed factor")
+@pytest.mark.parametrize("index", range(8))
+def test_free_lqr_converges_on_the_design_pool(monkeypatch, index):
+    # The benchmark's design_sweep weightings, at 400 s: the same 2x rule.
+    # Over all 32 pool scenarios the ratio to the tight run read 0.73 to
+    # 1.27 (0.97 to 1.26 when LQR landed on every sample).
+    from orbitloop import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    tree = importlib.import_module("workloads").design_pool()[index]
+    s = replace(cli.build_scenario(tree)[0], horizon=400.0)
+    got = _lqr_terminal_error(s)
+    tight = _lqr_terminal_error(s, rtol=1e-12, atol=1e-13)
+    assert tight / 2 <= got <= 2 * tight
 
 
 def test_held_noise_estimation_error_matches_zoh_recursion():

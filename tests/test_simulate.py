@@ -119,12 +119,16 @@ def test_observer_only_truth_equals_free_flight():
 def test_matched_model_estimate_makes_methods_agree():
     # Linear plant, zero SRP, exact initial estimate: the estimation error
     # stays identically zero, so observer-based control equals true-state
-    # control at every sample.
+    # control at every sample.  LQR steps freely and the observer run lands
+    # on every sample, so the two step sequences differ: at the default
+    # tolerances (rtol |x| allows about 9e-5 km a step) they part by 2.0e-6
+    # km, at these by 3.0e-10 km.
     s = ol.Scenario(
         horizon=200.0, output_dt=0.1,
         srp=ol.SrpConfig(mode="direct", magnitude_km_s2=0.0),
         plant_mode=ol.PlantMode.LINEAR,
         xhat0=(4292.87, 8924.17, 7.8, 0.0),
+        rtol=1e-12, atol=1e-12,
     )
     ra = ol.run_scenario(replace(s, method=ol.Method.LQR))
     rc = ol.run_scenario(replace(s, method=ol.Method.OBSERVER_LQR))
@@ -331,9 +335,11 @@ def test_compare_methods_is_rotation_invariant():
     # default weights are isotropic, and A is [[0, I], [w2 I, 0]].  An
     # oracle that needs no earlier output bits.  Measured spreads over
     # these angles, against the bounds: terminal errors 6e-15 relative
-    # (uncontrolled) and 8e-9 (observer LQR), against 1e-6; LQR's 1.009e-9
-    # km sits on its roundoff floor and moves by 1.1e-2 of it, 1.1e-11 km,
-    # against the 1e-10 km term; energies 6e-10 relative, against 1e-8.
+    # (uncontrolled) and 8e-9 (observer LQR), against 1e-6; LQR's 1.005e-9
+    # km sits on its roundoff floor and moves by 8.5e-3 of it, 8.6e-12 km,
+    # against the 1e-10 km term (free LQR steps without their cap at
+    # 2 / rho(A - B K) ended 2.93e-7 km away and moved by 2.8e-7 km);
+    # energies 6e-10 relative, against 1e-8.
     ref = _rotated_metrics(0.0)
     for phi in (0.3, 1.0, math.pi / 2, 2.5):
         got = _rotated_metrics(phi)
