@@ -5,13 +5,13 @@ observer estimation error, and reference arc — honoring rtol/atol.  Only a
 run with an observer lands exactly on every grid time, so piecewise-constant
 measurement noise never straddles a sample interval.  A run without one (a
 free flight: `uncontrolled` runs, `drift`, the `lambert` closure check,
-every `propagate_two_body`; or an `lqr` run) lands only on every stride-th
-grid time and the last, at most _FREE_SEGMENTS segments in all, recording
-each accepted step, and `_fill_dense` fills the rows between from
+every `propagate_two_body`; or an `lqr` run) steps from the first grid time
+to the last in one pass, no step longer than a tenth of the span
+(_FREE_STEPS) or, with control, than _CLOSED_LOOP_STEP / rho(A - B K),
+recording each accepted step, and `_fill_dense` fills the rows between from
 Shampine's quartic dense output of the Dormand-Prince pair.  An LQR run's
-segments are also at most _CLOSED_LOOP_SEGMENT / rho(A - B K) long, and
-its filled rows' control is u = -K (x - e - r) at their state.  A grid of
-at most _FREE_SEGMENTS + 1 times is landed on throughout.
+filled rows' control is u = -K (x - e - r) at their state.  The output grid
+thus never steers such a run's steps.
 
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
 by `_stepper_source`, one per layout of moving blocks: the plant always
@@ -55,12 +55,11 @@ The step controller's RMS error norm skips the frozen lanes, whose terms
 are +0.0, but divides by all 12 states, frozen blocks included, so a run is
 held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
 with one frozen block (uncontrolled and LQR runs on a moving reference)
-and by sqrt(3) with two (`drift`, the `lambert` closure).  The steps of a
-run without an observer are held to a tenth of its run, and an LQR run's
-also to _CLOSED_LOOP_SEGMENT / rho(A - B K), not to the grid spacing, so
-that loosening sets their sizes.  The divisor stays 12 so that free flights on
-short grids keep their steps and bits: dividing by the moving lanes would
-move the default `lambert` closure residual from 9.60e-5 to 6.10e-5 km.
+and by sqrt(3) with two (`drift`, the `lambert` closure).  Under the step
+cap of a run without an observer, that loosening sets its step sizes.  The
+divisor stays 12 so that the default `lambert` closure keeps its steps and
+bits: dividing by the moving lanes would move its residual from 9.60e-5 to
+6.10e-5 km.
 """
 
 from __future__ import annotations
@@ -86,18 +85,18 @@ _STATUS_MESSAGES = {
 }
 
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
-# The most segments a free flight lands on, so that none of its steps spans
-# much more than a tenth of the run, as with ode45's default MaxStep; a grid
-# of at most _FREE_SEGMENTS + 1 times is landed on throughout.
-_FREE_SEGMENTS = 10
-# An LQR run's segments are also at most this over the spectral radius rho
-# of its linearized closed loop A - B K, so that its steps stay off the
-# Dormand-Prince stability limit on the closed-loop poles, to which free
-# steps grow.  On the default scenario (rho = 1 /s) at 400 s the capped
-# run ends 1.0048e-9 km from the target in 1609 RHS calls, against
-# 1.0102e-9 km at rtol 1e-12 and 2.93e-7 km in 1207 calls uncapped;
+# A run without an observer takes no step longer than its span over this,
+# as with ode45's default MaxStep (Shampine & Reichelt 1997, SIAM J. Sci.
+# Comput. 18(1)).
+_FREE_STEPS = 10
+# An LQR run's steps are also at most this over the spectral radius rho of
+# its linearized closed loop A - B K, so that they stay off the
+# Dormand-Prince stability limit on the closed-loop poles, to which
+# uncapped steps grow.  On the default scenario (rho = 1 /s) at 400 s the
+# capped run ends 9.7254e-10 km from the target in 1519 RHS calls, against
+# 9.8244e-10 km at rtol 1e-12 and 2.93e-7 km in 1207 calls uncapped;
 # landing on every 0.1 s sample took 24001 calls.
-_CLOSED_LOOP_SEGMENT = 2.0
+_CLOSED_LOOP_STEP = 2.0
 
 
 # What _rhs_impl returns when the plant or the reference is within 1 km of
@@ -213,7 +212,7 @@ _TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # stage-s derivative ks_i, and its new state zn_i.
 _STEPPER_TEMPLATE = '''
 def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-            w2, cm, k, l, noise, rtol, atol, out, steps):
+            w2, cm, k, l, noise, rtol, atol, out, steps, h_max):
     @load_z0
     # The first RHS evaluation, at z0, gives sample 0's control.
     nx = noise[0][0]
@@ -242,6 +241,7 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
             tries += 1
             if tries > _MAX_STEPS:
                 return STATUS_STEP_BUDGET
+            @cap
             remaining = t_end - t
             clamped = h >= remaining
             hs = remaining if clamped else h
@@ -367,12 +367,13 @@ def _stepper_source(observe, ref_moving):
         "error_norm": error_norm,
         "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
                          "    return STATUS_NOT_FINITE"],
-        # A free run's accepted step, for the dense output: its start time
-        # and size, then the moving lanes' start state and k1 to k7.  No
-        # observer run steps freely, so those layouts omit the block.
+        # A run without an observer steps under h_max, and records each
+        # accepted step for the dense output: its start time and size, then
+        # the moving lanes' start state and k1 to k7.  Observer runs land on
+        # every grid time, so those layouts omit both blocks.
+        "cap": [] if observe else ["if h > h_max:", "    h = h_max"],
         "record": [] if observe else [
-            "if steps is not None:",
-            f"    steps.append((t, hs, {names('z_{}')}, "
+            f"steps.append((t, hs, {names('z_{}')}, "
             + ", ".join(names(f"k{s}_{{}}") for s in range(1, 8)) + "))"],
         "accept": [f"{names('z_{}', lanes)} = {names('zn_{}', lanes)}",
                    f"{names('k1_{}')} = {names('k7_{}')}"],
@@ -412,48 +413,43 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     the (n, 2) control series u, or raises NumericalError with the kernel's
     status if the run fails.  `control` and `observe` are the ints 0 or 1.
 
-    Only a run with an observer lands on every grid time.  A run without
-    one on more than _FREE_SEGMENTS + 1 grid times lands only on every
-    stride-th grid time and the last, stride being the least that leaves at
-    most _FREE_SEGMENTS segments, and `_fill_dense` fills the rows between
-    from its accepted steps.  With control the stride is also at most the
-    grid intervals that fit, at their longest, in _CLOSED_LOOP_SEGMENT /
+    A run with an observer lands on every grid time.  A run without one
+    hands the stepper only the first and last, under a step cap of a tenth
+    of the span (_FREE_STEPS) and, with control, of _CLOSED_LOOP_STEP /
     rho(A - B K), rho being the spectral radius of the closed loop
-    linearized through w2 and k, and each filled row's control is
-    u = -K (x - e - r), summed in _rhs_impl's order.  Row 0 is z0 and the
-    last row the stepper's final state; a grid that leaves a stride of 1
-    is landed on throughout."""
+    linearized through w2 and k; `_fill_dense` fills the rows between from
+    its accepted steps, and each filled row's control is u = -K (x - e - r),
+    summed in _rhs_impl's order.  Row 0 is z0 and the last row the
+    stepper's final state."""
     n = len(t_out)
     out = np.empty((n, 14))
     t_grid = np.asarray(t_out, float)
-    rows, steps = out, None
-    stride = -(-(n - 1) // _FREE_SEGMENTS)
-    if control == 1 and observe == 0 and stride > 1:
-        closed = np.zeros((4, 4))  # A - B K
-        closed[0, 2] = closed[1, 3] = 1.0
-        closed[2, 0] = closed[3, 1] = w2
-        closed[2:] -= k
-        longest = (np.abs(np.linalg.eigvals(closed)).max()
-                   * np.diff(t_grid).max())
-        if stride * longest > _CLOSED_LOOP_SEGMENT:
-            stride = max(1, int(_CLOSED_LOOP_SEGMENT / longest))
-    if observe == 0 and stride > 1:
-        landed = np.r_[0:n - 1:stride, n - 1]
-        rows, steps = np.empty((landed.size, 14)), []
-        t_out, noise = t_grid[landed], np.asarray(noise)[landed[:-1]]
+    rows, steps, h_max = out, None, np.inf
+    if observe == 0:
+        rows, steps = np.empty((2, 14)), []
+        t_out, noise = t_grid[[0, -1]], np.asarray(noise)[:1]
+        h_max = float(t_grid[-1] - t_grid[0]) / _FREE_STEPS
+        if control == 1:
+            closed = np.zeros((4, 4))  # A - B K
+            closed[0, 2] = closed[1, 3] = 1.0
+            closed[2, 0] = closed[3, 1] = w2
+            closed[2:] -= k
+            h_max = min(h_max, _CLOSED_LOOP_STEP
+                        / float(np.abs(np.linalg.eigvals(closed)).max()))
     z0, t_out, gw, cm, k, l, noise = (
         np.asarray(a, float).tolist() for a in
         (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise))
     status = _stepper(observe == 1, ref_moving == 1)(
         z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
-        float(w2), cm, k, l, noise, float(rtol), float(atol), rows, steps)
+        float(w2), cm, k, l, noise, float(rtol), float(atol), rows, steps,
+        h_max)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     if steps is not None:
         # Every row takes the frozen lanes and the control of the last (z +
         # 0.0 once a step is taken, z0 if none), then its moving lanes from
         # the dense output and, with control, u = -K (x - e - r) in
-        # _rhs_impl's order, except the rows the stepper landed on.
+        # _rhs_impl's order, except the first and last, the stepper's own.
         out[:] = rows[-1]
         _fill_dense(out, t_grid, steps, ref_moving == 1)
         if control == 1:
@@ -461,7 +457,7 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
             for i, (k0, k1, k2, k3) in enumerate(k):
                 out[:, 12 + i] = (0.0 - k0 * d[:, 0] - k1 * d[:, 1]
                                   - k2 * d[:, 2] - k3 * d[:, 3])
-        out[landed] = rows
+        out[[0, -1]] = rows
     return (out[:, 0:4].copy(), out[:, 4:8].copy(), out[:, 8:12].copy(),
             out[:, 12:14].copy())
 

@@ -135,9 +135,9 @@ def srp_force(
     by the reflectivity multiplier.  The push is anti-sunward; magnitudes
     are returned.
     """
-    if irradiance_w_m2 < 0:
+    if not irradiance_w_m2 >= 0:
         raise ValueError("irradiance must be non-negative")
-    if area_m2 <= 0:
+    if not area_m2 > 0:
         raise ValueError("area must be positive")
     rho = craft.reflectivity_multiplier if craft is not None else 1.0
     c_m_s = constants.c_light * 1000.0
@@ -205,7 +205,7 @@ def linearize_plant(
     per-channel transfer 1/(s^2 - omega^2)); sign=-1 gives the oscillator
     form.
     """
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("linearization radius must be positive")
     if sign not in (1.0, -1.0, 1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -268,7 +268,7 @@ def lambert_solve(
     """
     r1v = np.asarray(r1, dtype=float).reshape(2)
     r2v = np.asarray(r2, dtype=float).reshape(2)
-    if tof <= 0:
+    if not tof > 0:
         raise ValueError("time of flight must be positive")
     if direction not in ("prograde", "retrograde"):
         raise ValueError("direction must be 'prograde' or 'retrograde'")

@@ -183,7 +183,7 @@ def frequency_response(sys: StateSpace, omegas) -> np.ndarray:
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DimensionError("omega grid must be a non-empty 1-D array")
-    if np.any(w <= 0) or np.any(np.diff(w) <= 0):
+    if not (np.all(w > 0) and np.all(np.diff(w) > 0)):
         raise ValueError("omega grid must be strictly increasing and positive")
     return _resolvent(sys, 1j * w)
 

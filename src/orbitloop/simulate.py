@@ -248,13 +248,8 @@ def propagate_two_body(
     atol: float = 1.0e-9,
 ) -> np.ndarray:
     """Free-flight propagation of [p, q, pdot, qdot] on the given time grid
-    under central gravity plus an optional constant SRP acceleration.  On a
-    grid of more than 11 times the run lands on at most 11 of them, the
-    first and last among them, and takes the other rows from the
-    Dormand-Prince dense output (`_dopri.propagate_grid`), as every run
-    without an observer does; a shorter grid is landed on throughout.  Free
-    flight has no closed loop, so no 2 / rho(A - B K) cap shortens its
-    segments as it does an LQR run's."""
+    under central gravity plus an optional constant SRP acceleration; how
+    its steps relate to the grid is `_dopri.propagate_grid`'s rule."""
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
     if not all(math.isfinite(a) for a in a_srp):
@@ -344,16 +339,11 @@ def run_scenario(s: Scenario, design: ScenarioDesign | None = None,
     The true dynamics are the nonlinear planar two-body equations with SRP
     (or the linearized model when plant_mode is LINEAR); the observer always
     integrates the linearized model driven by the measured positions, and
-    the whole coupled system advances as one ODE.  Only a run with an
-    observer lands on every output time.  An uncontrolled or LQR run lands
-    on at most 11 of them and takes the other rows from the Dormand-Prince
-    dense output (`_dopri.propagate_grid`); an LQR run lands at least every
-    2 / rho(A - B K) seconds, rho being the closed loop's spectral radius,
-    and each filled row's control is -K (x - r) at its own state.  Only the
-    observer methods draw measurement noise, since nothing else reads the
-    measurement.  `design` is the scenario's design and `r0` the
-    reference's initial state (`_reference_start`); what is not given is
-    computed here.
+    the whole coupled system advances as one ODE, stepped as
+    `_dopri.propagate_grid` sets out.  Only the observer methods draw
+    measurement noise, since nothing else reads the measurement.  `design`
+    is the scenario's design and `r0` the reference's initial state
+    (`_reference_start`); what is not given is computed here.
     """
     d = synthesize_for_scenario(s) if design is None else design
     a_srp = srp_accel(s.srp, s.spacecraft, s.constants)

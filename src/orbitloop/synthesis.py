@@ -339,7 +339,7 @@ def solve_hinf_riccati(a, b, g, w: Weights, gamma: float) -> np.ndarray:
     """
     am, bm = _plant_matrices(a, b, w)
     gm = linalg.as_matrix(g, "g")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     m = bm @ np.linalg.solve(w.r, bm.T) - (gm @ gm.T) / gamma**2
     p = _stabilizing_riccati(am, m, w.q)

@@ -44,6 +44,13 @@ def test_srp_force_grazing_and_45deg():
     assert abs(f_n - f_s) < 1e-18
 
 
+def test_srp_force_rejects_nan_inputs():
+    with pytest.raises(ValueError):
+        ol.srp_force(math.nan, 20.0, 0.0)
+    with pytest.raises(ValueError):
+        ol.srp_force(1361.0, math.nan, 0.0)
+
+
 def test_srp_force_reflectivity_scaling():
     base, _ = ol.srp_force(1361.0, 20.0, 0.0)
     doubled, _ = ol.srp_force(1361.0, 20.0, 0.0,
@@ -138,6 +145,8 @@ def test_linearize_plant_sign_flip():
     assert ol.stability_class(osc.a) is ol.Stability.MARGINALLY_STABLE
     with pytest.raises(ValueError):
         ol.linearize_plant(-1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ol.linearize_plant(math.nan)
     with pytest.raises(ValueError):
         ol.linearize_plant(R0, sign=0.5)
 
@@ -157,6 +166,9 @@ def test_lambert_hohmann_half_revolution():
 def test_lambert_degenerate_endpoints():
     with pytest.raises(ol.DegenerateGeometryError):
         ol.lambert_solve((7000.0, 0.0), (7000.0, 0.0), 1000.0)
+    # A NaN flight time is an input error, not a flight time too short.
+    with pytest.raises(ValueError, match="time of flight must be positive"):
+        ol.lambert_solve((7000.0, 0.0), (0.0, 9000.0), math.nan)
 
 
 def _half_rev_minus(delta):

@@ -184,19 +184,20 @@ def _pinned_run(control, observe, plant_linear, ref_moving, noisy):
 
 # sha256 of the x, e, r and u series as little-endian float64.  The
 # observer layouts were recorded with the loop-per-lane kernel that preceded
-# the generated steppers, the LQR layouts with the kernel that fills their
-# rows between landed grid times from dense output.
+# the generated steppers, the LQR layouts with the kernel that steps them
+# from the first grid time to the last under one step cap and fills the
+# rows between from dense output.
 @pytest.mark.parametrize("layout, digests", [
     ((1, 0, 0, 0, False), (
-        "8b661d6415f502dabfc2fd07acc252c26fea04a00556cfe3c006586c138d9995",
+        "3112aa0ff5e6572afdca6b4d00d07ceacbd9fb3e63bb1a87bfcbebef6e7f2cc6",
         "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
         "14e827439fdf713d9e4dacb6186b3dbf830b45862a38f3a0bf2e880ec0a31749",
-        "46845563973e6f3df2ed2560f9a9d7fa0a566b7d8785d0828d0451db2984cc8b")),
+        "8156d7d8175a06834f51a51cec9dec765cc52b962150ec9d6118c08680e2d4e4")),
     ((1, 0, 1, 1, False), (
-        "b699d9f7694558fbcc4432b52660c6e456791306822575d73792d834236a58cf",
+        "9b1280399485e18c3e2aa1c25e253a748c212a1d11806153432fb293054a04b9",
         "2c7663e809c9827df482ce260d079467d02f9f181a6d1fcc5a942b2a7e1bd3e6",
-        "d470d2c566fcd922224aabdbffc874d73e2272b36cbab91470fdb05b6a6e9cec",
-        "de6ea7a56ee3502f0443d0718e02a8c8d7c4d19de863e86a34ff95b80bab4e25")),
+        "508f6be56940f3754e612a5fb75dd7d186a863b18115ef8339ec62667cf0731c",
+        "a4bed2232d56c23c330ea550e58657932373c028a2e5821b801acb2244b70bcd")),
     ((0, 1, 1, 0, True), (
         "574fee90dadc90f34bb87acceef4cc6f5ec92e0180273b4f7e2a121e56d493d2",
         "db6a289fc73946e4d768f5139e84672f3aa6cdafe6fbc7d099eae567c47c2dc0",
@@ -229,7 +230,8 @@ def test_stage_below_1_km_retries_and_its_run_is_pinned(monkeypatch):
     # A near-radial fall from 7000 km at loose tolerances: one trial stage
     # lands within 1 km of the origin, the step is halved and retried, and
     # the run finishes.  sha256 of the (4, 4) output, recorded with the
-    # kernel whose RHS wrote its derivatives into a work row.
+    # kernel that steps a free flight from its first grid time to its last
+    # under a cap of a tenth of the span.
     statuses = []
     rhs = _dopri._rhs_impl
 
@@ -243,21 +245,33 @@ def test_stage_below_1_km_retries_and_its_run_is_pinned(monkeypatch):
                               np.linspace(0.0, 1500.0, 4),
                               rtol=1e-3, atol=1e-3)
     assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
-        "9065938aecd4d58901c6f0de6cb429a8575f62ea05b9e837aa586aa27b8f5f81"
+        "564960cd42bc9ac68d9776c40ddad375343498dfc501b315c75433a2f278f32c"
     assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
     assert len(statuses) == 401
+    last = x[-1].copy()
 
-    # The same fall on 12 grid times is a free flight that lands on every
-    # second one and fills the rest from dense output; it too retries once
-    # (landing on all 12 took 719 RHS calls).
+    # The same fall on 12 grid times takes the same steps and fills the
+    # rows between from dense output (landing on all 12 took 719 RHS
+    # calls).
     statuses.clear()
     x = ol.propagate_two_body(ol.OrbitState((7000.0, 0.0), (0.0, 0.15)),
                               np.linspace(0.0, 1500.0, 12),
                               rtol=1e-3, atol=1e-3)
     assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
-        "2bd6846ce0970816392cd4e8d58e2d0cda33e9f01f16ff559a27ad76217d2690"
+        "fc43f11698abdaafc9fee8f1dde2492e3b90889f4d9374f16ebf92439e0e7a83"
     assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
-    assert len(statuses) == 403
+    assert len(statuses) == 401
+
+    # And so on 31: the steps, and so the final row, do not depend on the
+    # grid.  Landing on every third of the 31 grid times raised
+    # NumericalError: the numerical orbit fell back below 1 km.
+    statuses.clear()
+    x = ol.propagate_two_body(ol.OrbitState((7000.0, 0.0), (0.0, 0.15)),
+                              np.linspace(0.0, 1500.0, 31),
+                              rtol=1e-3, atol=1e-3)
+    assert np.array_equal(_bits(x[-1]), _bits(last))
+    assert statuses.count(_dopri.STATUS_SINGULAR_RADIUS) == 1
+    assert len(statuses) == 401
 
 
 def _count_rhs_calls(monkeypatch):
@@ -286,19 +300,21 @@ def test_lqr_run_draws_no_measurement_noise(monkeypatch):
         runs.append((len(calls), rec.true_states.tobytes(),
                      rec.controls.tobytes()))
     assert runs[0] == runs[1]
-    assert runs[0][0] == 643
+    assert runs[0][0] == 595
 
 
 def test_two_point_free_flights_are_pinned(tmp_path):
-    # A 2-point grid is one segment stepped to its end, with no dense
-    # output: these bits and lambert's closure residual (which perfbench's
-    # references hold to 1e-6 relative) were recorded with the kernel that
-    # landed on every grid time.
+    # A 2-point grid is stepped to its end with no dense output, under the
+    # cap of a tenth of its span, which binds on the 1000 s propagation but
+    # not in lambert's closure check.  The propagation's bits were recorded
+    # with the kernel that caps every run without an observer; lambert's
+    # closure residual (which perfbench's references hold to 1e-6 relative)
+    # with the kernel that landed on every grid time.
     from orbitloop import cli
 
     x = ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1000.0]))
     assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
-        "c84bc1d6159572d8b66a0339f7e3b58ff15c03cb48e4585758baf4cbda4b8b26"
+        "d20e4fc63b5cc0e2178a790eb1dfb924f64ef7114622a76fc4ad99544a9fda2d"
     (tmp_path / "s.json").write_text("{}")
     assert cli.dispatch("lambert", tmp_path / "s.json", tmp_path / "out",
                         "csv") == 0
@@ -307,11 +323,12 @@ def test_two_point_free_flights_are_pinned(tmp_path):
 
 
 def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
-    # The default uncontrolled run, 400 s on the 0.1 s grid, lands on every
-    # 400th sample and interpolates the others: 79 RHS calls, where landing
-    # on every sample took 24001.  Against an rtol 1e-12 / atol 1e-13 run,
-    # the plant's positions read 1.5e-7 km and the reference's 1.8e-6 km at
-    # most; the bounds leave a margin of about 6.7 and 5.6.
+    # The default uncontrolled run, 400 s on the 0.1 s grid, lands on its
+    # first and last samples and interpolates the others: 79 RHS calls,
+    # where landing on every sample took 24001.  Against an rtol 1e-12 /
+    # atol 1e-13 run, the plant's positions read 1.5e-7 km and the
+    # reference's 1.8e-6 km at most; the bounds leave a margin of about 6.6
+    # and 5.6.
     s = ol.Scenario(horizon=400.0, method=ol.Method.UNCONTROLLED)
     calls = _count_rhs_calls(monkeypatch)
     rec = ol.run_scenario(s)
@@ -325,9 +342,8 @@ def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
     assert not np.signbit(rec.controls).any() and not rec.controls.any()
 
     # A frozen lane's -0.0 turns into +0.0 with the first step, in the
-    # interpolated rows (odd) as in the landed ones (even): a constant
-    # reference and an error block holding -0.0, on a free flight's 21-point
-    # grid.
+    # interpolated rows as in the last, landed one: a constant reference and
+    # an error block holding -0.0, on a free flight's 21-point grid.
     x0 = ol.Scenario().x0.as_vector()
     x, e, r, u = _dopri.propagate_grid(
         x0, np.linspace(0.0, 40.0, 21), np.full(4, -0.0),
@@ -348,9 +364,10 @@ def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
                          ids=["lqr_setpoint_nonlinear", "lqr_arc_linear"])
 def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
         monkeypatch, layout):
-    # An LQR run lands on some grid times and fills the rows between from
-    # dense output.  The landed rows are the stepper's own, and every row's
-    # control is the one _rhs_impl gives at that row's state, bit for bit.
+    # An LQR run lands on its first and last grid times and fills the rows
+    # between from dense output.  The landed rows are the stepper's own, and
+    # every row's control is the one _rhs_impl gives at that row's state,
+    # bit for bit.
     landed = []
     build = _dopri._stepper
 
@@ -359,7 +376,7 @@ def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
 
         def run(z0, t_out, *args):
             status = stepper(z0, t_out, *args)
-            landed.append((t_out, args[-2].copy()))  # the grid and rows
+            landed.append((t_out, args[-3].copy()))  # the grid and rows
             return status
         return run
 
@@ -368,7 +385,7 @@ def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
     ((t_landed, rows),) = landed
     t = np.arange(41) * 0.5
     idx = np.searchsorted(t, t_landed)
-    assert np.array_equal(t[idx], t_landed) and 2 < idx.size < t.size
+    assert np.array_equal(t[idx], t_landed) and idx.tolist() == [0, 40]
     assert np.array_equal(_bits(out[idx]), _bits(rows))
     plant_linear, ref_moving = layout[2:4]
     for row in out:
@@ -383,22 +400,33 @@ def _lqr_terminal_error(s, **tolerances):
     return ol.compute_metrics(ol.run_scenario(s), s.xf).terminal_error_km
 
 
-@pytest.mark.parametrize("horizon", [400.0, 4000.0])
-def test_free_lqr_keeps_its_converged_terminal_error(monkeypatch, horizon):
-    # LQR's segments, and so its steps, are capped at 2 / rho(A - B K),
-    # which keeps them off the Dormand-Prince stability limit on the
-    # closed-loop poles.  Measured, at the default tolerances and at rtol
-    # 1e-12 / atol 1e-13: 1.0048e-9 against 1.0102e-9 km at 400 s, and
-    # 1.0207e-9 against 0.9921e-9 km at 4000 s.  Uncapped steps ended
-    # 2.93e-7 km and 9.56e-9 km from the target.
-    s = ol.Scenario(horizon=horizon)
+@pytest.mark.parametrize("horizon, output_dt", [
+    (400.0, 0.1), (4000.0, 0.1), (400.0, 5.0), (400.0, 20.0),
+    (4000.0, 5.0), (4000.0, 20.0),
+], ids=["400.0", "4000.0", "400.0-dt5", "400.0-dt20", "4000.0-dt5",
+        "4000.0-dt20"])
+def test_free_lqr_keeps_its_converged_terminal_error(monkeypatch, horizon,
+                                                     output_dt):
+    # LQR's steps are capped at 2 / rho(A - B K), which keeps them off the
+    # Dormand-Prince stability limit on the closed-loop poles, whatever the
+    # output grid.  Measured, at the default tolerances and at rtol 1e-12 /
+    # atol 1e-13: 9.7254e-10 against 9.8244e-10 km at 400 s, and 1.4035e-9
+    # against 1.3315e-9 km at 4000 s.  Uncapped steps ended 2.93e-7 km and
+    # 9.56e-9 km from the target; capping only the spacing of landed grid
+    # times left the 400 s run 5.92e-8 km away at output_dt 5 and 2.81e-7
+    # km at 20, where its steps grew to the grid spacing.
+    s = ol.Scenario(horizon=horizon, output_dt=output_dt)
     calls = _count_rhs_calls(monkeypatch)
     got = _lqr_terminal_error(s)
     if horizon == 400.0:
-        # 1609 calls, where landing on every 0.1 s sample took 24001.
+        # 1519 calls, where landing on every 0.1 s sample took 24001.
         assert len(calls) < 2500
     tight = _lqr_terminal_error(s, rtol=1e-12, atol=1e-13)
     assert tight / 2 <= got <= 2 * tight
+    # The steps do not depend on the grid, so neither does the final row.
+    final = [ol.run_scenario(replace(s, method=ol.Method.LQR, output_dt=dt))
+             .true_states[-1] for dt in (0.1, output_dt)]
+    assert np.array_equal(_bits(final[0]), _bits(final[1]))
 
 
 @pytest.mark.filterwarnings("ignore:observer speed factor")

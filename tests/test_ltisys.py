@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,11 @@ def test_frequency_grid_validation():
         ol.frequency_response(sys, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         ol.frequency_response(sys, np.array([-1.0, 1.0]))
+    # NaN fails every comparison, so it must not pass the guard and reach
+    # the SVD.
+    for grid in ([1.0, math.nan], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ol.frequency_response(sys, np.array(grid))
 
 
 def test_zero_input_frozen_and_decay():

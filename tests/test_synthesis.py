@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,8 @@ def test_hinf_scalar_fixed_gamma():
 def test_hinf_scalar_infeasible_below_one():
     with pytest.raises(ol.SynthesisError):
         ol.solve_hinf_riccati(Z1, S1, S1, W11, 0.5)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ol.solve_hinf_riccati(Z1, S1, S1, W11, math.nan)
     with pytest.raises(ol.GammaRangeError):
         ol.hinf_state_feedback(Z1, S1, S1, W11, (0.1, 0.5))
 

@@ -23,13 +23,15 @@ scenarios/noisy_observer.json with noise_seed 0 to 15 and on
 scenarios/short_linear_check.json; `simulate`, `analyze` and `response` on
 the linear plant with linearization_sign +1 and -1; `simulate` with a
 doubled measurement matrix, with a custom disturbance matrix and noise,
-with a constant setpoint and xhat0, and observer_only on the linear plant
-with a constant setpoint and noise; `lambert` and `drift` on the default
-scenario; the plunge that exits 1 ("trajectory radius fell below 1 km");
-and all seven commands on the 32 perfbench design_pool() scenarios at
-horizon_s=200.  The scenario files and the pool are read from the
-checkout that holds this script, so both sides of a comparison run the
-same inputs.  Standard library only; runs one CLI process at a time.
+with a constant setpoint and xhat0, observer_only on the linear plant
+with a constant setpoint and noise, and `lqr` with output_dt_s 5 and
+`uncontrolled` with output_dt_s 20, whose steps must not follow the grid;
+`lambert` and `drift` on the default scenario; the plunge that exits 1
+("trajectory radius fell below 1 km"); and all seven commands on the 32
+perfbench design_pool() scenarios at horizon_s=200: 258 runs in all.  The
+scenario files and the pool are read from the checkout that holds this
+script, so both sides of a comparison run the same inputs.  Standard
+library only; runs one CLI process at a time.
 
 With --diff, OLD and NEW are two such OUT trees.  For each run that
 differs it prints the exit-code and stderr.json changes, the files added
@@ -97,6 +99,10 @@ def matrix() -> list[tuple[str, str, dict, list[str], str]]:
          {**short, "plant_mode": "linear", "method": "observer_only",
           "reference_mode": "constant_setpoint",
           "measurement_noise_sigma": [0.001, 0.002]}, [], "csv"),
+        ("lqr_output_dt_5", "simulate",
+         {**short, "method": "lqr", "output_dt_s": 5.0}, [], "csv"),
+        ("uncontrolled_output_dt_20", "simulate",
+         {**short, "method": "uncontrolled", "output_dt_s": 20.0}, [], "csv"),
         ("lambert", "lambert", {}, [], "csv"),
         ("drift", "drift", {}, [], "csv"),
         ("plunge", "simulate",
