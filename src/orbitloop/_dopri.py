@@ -14,21 +14,21 @@ filled rows' control is u = -K (x - e - r) at their state.  The output grid
 thus never steers such a run's steps.
 
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
-by `_stepper_source`, one per layout of moving blocks: the plant always
-moves, the error block with `observe`, the reference with `ref_moving`.  It
-holds the 12 states and each stage's derivatives in local variables.  Its
-RHS calls go to `_rhs_impl`, one hand-written pure function for every
-layout, which it looks up in this module when it runs: it takes the stage
-as a 12-tuple and returns (status, ux, uy, dz_0, ..., dz_11).  `_stepper`
-builds a layout's stepper on its first run and caches it: no stepper is
-built at import.
+by `_stepper_source`, one function for every run.  It holds the 12 states
+and each stage's derivatives in local variables.  Its RHS calls go to
+`_rhs_impl`, one hand-written pure function with runtime switches, which
+it looks up in this module when it runs: it takes the stage as a 12-tuple
+and returns (status, ux, uy, dz_0, ..., dz_11).  `_stepper` builds the
+stepper on the first run and caches it: none is built at import.
 
-A frozen block (e without `observe`, a constant reference) has derivative
-+0.0 at every stage, and every tableau-weighted sum of those is +0.0, so
-each stage input and the new state of a frozen lane is z_i + 0.0: the
-stepper computes that once per step attempt and discards the frozen lanes'
-derivatives.  A -0.0 in such a lane thus turns into +0.0 with the first
-step, as stepping lane by lane gives, and the dense output writes it so.
+A block that does not move (e without `observe`, a constant reference) is
+stepped like any other: `_rhs_impl` gives it derivative +0.0 at every
+stage.  Every stage row and the weights of the new state, the error
+estimate and each dense-output coefficient have a positive weight, so each
+left-to-right weighted sum of those +0.0s is +0.0, never -0.0, and the
+lane's stage inputs and new state are all z_i + 0.0.  A -0.0 in such a
+lane thus turns into +0.0 with the first step, in the stepped and the
+interpolated rows alike.
 
 The kernel takes plain Python floats and nested lists, indexing its 2-D
 inputs as x[i][j], and `propagate_grid`, its only wrapper, converts its
@@ -51,12 +51,12 @@ same as last", Dormand & Prince 1980, J. Comput. Appl. Math. 6(1)) each
 accepted step's last stage, at the new state, is the next step's first,
 so the control of the last RHS call is each sample's.
 
-The step controller's RMS error norm skips the frozen lanes, whose terms
-are +0.0, but divides by all 12 states, frozen blocks included, so a run is
-held to a tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5)
-with one frozen block (uncontrolled and LQR runs on a moving reference)
-and by sqrt(3) with two (`drift`, the `lambert` closure).  Under the step
-cap of a run without an observer, that loosening sets its step sizes.  The
+The step controller's RMS error norm divides by all 12 states, but a block
+that does not move adds +0.0 terms to its sum, so a run is held to a
+tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5) with one
+such block (uncontrolled and LQR runs on a moving reference) and by
+sqrt(3) with two (`drift`, the `lambert` closure).  Under the step cap of
+a run without an observer, that loosening sets its step sizes.  The
 divisor stays 12 so that the default `lambert` closure keeps its steps and
 bits: dividing by the moving lanes would move its residual from 9.60e-5 to
 6.10e-5 km.
@@ -109,7 +109,7 @@ def _rhs_impl(z, mu, gw, control, observe, plant_linear, ref_moving, w2, cm,
     x0, x1, x2, x3, e0, e1, e2, e3, r0, r1, r2, r3 = z
     g0, g1, g2, g3 = gw
 
-    # Reference block: a two-body arc, or frozen for a constant setpoint.
+    # Reference block: a two-body arc, or at rest for a constant setpoint.
     if ref_moving == 1:
         rr = (r0 * r0 + r1 * r1) ** 0.5
         if rr < 1.0:
@@ -246,7 +246,6 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
             clamped = h >= remaining
             hs = remaining if clamped else h
 
-            @frozen_lanes
             @stages
             if st != STATUS_OK:
                 # A stage left the admissible region: retry with a smaller
@@ -300,27 +299,20 @@ _RHS_ARGS = ("mu, gw, control, observe, plant_linear, ref_moving, w2, cm, k,"
 _FINITE = f"{-sys.float_info.max!r} <= zn_{{}} <= {sys.float_info.max!r}"
 
 
-def _stepper_source(observe, ref_moving):
-    """The straight-line stepper for one layout of moving blocks: the plant
-    always, the error block with `observe`, the reference with
-    `ref_moving`.  Each weighted sum runs left to right, in stage order,
-    over the nonzero weights."""
+def _stepper_source():
+    """The straight-line stepper of all 12 lanes.  Each weighted sum runs
+    left to right, in stage order, over the nonzero weights."""
     lanes = range(12)
-    moving = [i for i in lanes
-              if i < 4 or (observe if i < 8 else ref_moving)]
-    frozen = [i for i in lanes if i not in moving]
 
-    def names(item, which=moving):
-        return ", ".join(map(item.format, which))
+    def names(item):
+        return ", ".join(map(item.format, lanes))
 
     def assign(target, values):
         return [f"{target} = (", *(f"    {v}," for v in values), ")"]
 
     def rhs(s, stage, control="_, _"):
-        # An RHS call at the 12-tuple `stage`: the moving lanes' derivatives
-        # go to ks_i, and the frozen lanes' to _.
-        lhs = ", ".join(["st", control] + [f"k{s}_{i}" if i in moving else "_"
-                                           for i in lanes])
+        # An RHS call at the 12-tuple `stage`, its derivatives going to ks_i.
+        lhs = ", ".join(["st", control, names(f"k{s}_{{}}")])
         return [f"{lhs} = _rhs_impl((", *(f"    {v}," for v in stage),
                 f"), {_RHS_ARGS})"]
 
@@ -336,46 +328,39 @@ def _stepper_source(observe, ref_moving):
 
     stages = []
     for s, weights in enumerate(_TABLEAU_A, 2):
-        body = rhs(s, [stage_sum(weights, i) if i in moving else f"zn_{i}"
-                       for i in lanes])
+        body = rhs(s, [stage_sum(weights, i) for i in lanes])
         stages += body if s == 2 else \
             ["if st == STATUS_OK:", *("    " + line for line in body)]
-    body = assign(names("zn_{}"), (stage_sum(_TABLEAU_B, i) for i in moving)) \
-        + rhs(7, [names("zn_{}", lanes)], "ux, uy")
+    body = assign(names("zn_{}"), (stage_sum(_TABLEAU_B, i) for i in lanes)) \
+        + rhs(7, [names("zn_{}")], "ux, uy")
     stages += ["if st == STATUS_OK:", *("    " + line for line in body)]
 
-    # A frozen lane's error term is +0.0 and adds nothing.  max(a, b) is b
-    # only when b > a: a NaN z_i makes the norm NaN, and a NaN zn_i is left
-    # to the finiteness check.
+    # max(a, b) is b only when b > a: a NaN z_i makes the norm NaN, and a
+    # NaN zn_i is left to the finiteness check.
     error_norm = assign(names("q_{}"), (
         f"hs * ({weighted(_TABLEAU_E, i)})"
-        f" / (atol + rtol * max(abs(z_{i}), abs(zn_{i})))" for i in moving))
+        f" / (atol + rtol * max(abs(z_{i}), abs(zn_{i})))" for i in lanes))
     error_norm.append("err_norm2 = 0.0 + "
-                      + " + ".join(f"q_{i} * q_{i}" for i in moving))
+                      + " + ".join(f"q_{i} * q_{i}" for i in lanes))
 
-    sample = f"{names('z_{}', lanes)}, ux, uy"
+    sample = f"{names('z_{}')}, ux, uy"
     blocks = {
-        "load_z0": [f"{names('z_{}', lanes)} = z0"],
-        "rhs_k1": rhs(1, [names("z_{}", lanes)], "ux, uy"),
+        "load_z0": [f"{names('z_{}')} = z0"],
+        "rhs_k1": rhs(1, [names("z_{}")], "ux, uy"),
         "store_sample_0": [f"out[0] = {sample}"],
-        # Each stage derivative of a frozen lane is +0.0, and so is every
-        # tableau-weighted sum of them: its stage inputs and new state are
-        # all z_i + 0.0.
-        "frozen_lanes": [f"{names('zn_{}', frozen)} = "
-                         f"{names('z_{} + 0.0', frozen)}"] if frozen else [],
         "stages": stages,
         "error_norm": error_norm,
         "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
                          "    return STATUS_NOT_FINITE"],
-        # A run without an observer steps under h_max, and records each
-        # accepted step for the dense output: its start time and size, then
-        # the moving lanes' start state and k1 to k7.  Observer runs land on
-        # every grid time, so those layouts omit both blocks.
-        "cap": [] if observe else ["if h > h_max:", "    h = h_max"],
-        "record": [] if observe else [
-            f"steps.append((t, hs, {names('z_{}')}, "
+        # Observer runs pass h_max = inf and steps = None.  A run without an
+        # observer records each accepted step for the dense output: its
+        # start time and size, then the start state and k1 to k7.
+        "cap": ["if h > h_max:", "    h = h_max"],
+        "record": [
+            "if steps is not None:",
+            f"    steps.append((t, hs, {names('z_{}')}, "
             + ", ".join(names(f"k{s}_{{}}") for s in range(1, 8)) + "))"],
-        "accept": [f"{names('z_{}', lanes)} = {names('zn_{}', lanes)}",
+        "accept": [f"{names('z_{}')} = {names('zn_{}')}",
                    f"{names('k1_{}')} = {names('k7_{}')}"],
         "store_sample": [f"out[seg + 1] = {sample}"],
     }
@@ -390,19 +375,16 @@ def _stepper_source(observe, ref_moving):
     return "\n".join(out) + "\n"
 
 
-def _build_stepper(observe, ref_moving):
-    """The stepper for one layout, as a Python function.  Its globals are
-    this module's, so it looks _rhs_impl and _MAX_STEPS up here when it
-    runs: perfbench counts RHS calls by rebinding _rhs_impl."""
-    name = f"<dopri stepper observe={observe:d} ref_moving={ref_moving:d}>"
+@functools.cache
+def _stepper():
+    """The stepper as a Python function, built on the first run, not at
+    import.  Its globals are this module's, so it looks _rhs_impl and
+    _MAX_STEPS up here when it runs: perfbench counts RHS calls by
+    rebinding _rhs_impl."""
     namespace = {}
-    exec(compile(_stepper_source(observe, ref_moving), name, "exec"),
-         globals(), namespace)
+    exec(compile(_stepper_source(), "<dopri stepper>", "exec"), globals(),
+         namespace)
     return namespace["stepper"]
-
-
-# Built on a layout's first run, not at import.
-_stepper = functools.cache(_build_stepper)
 
 
 def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
@@ -410,8 +392,9 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     """Propagate the plant state x0, estimation error e0 and reference r0
     across the output grid t_out on the plant with A = [[0, I], [w2 I, 0]],
     under the forcing gw = G w; returns the (n, 4) x, e and r series and
-    the (n, 2) control series u, or raises NumericalError with the kernel's
-    status if the run fails.  `control` and `observe` are the ints 0 or 1.
+    the (n, 2) control series u, views of one (n, 14) array, or raises
+    NumericalError with the kernel's status if the run fails.  `control`
+    and `observe` are the ints 0 or 1.
 
     A run with an observer lands on every grid time.  A run without one
     hands the stepper only the first and last, under a step cap of a tenth
@@ -439,27 +422,25 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     z0, t_out, gw, cm, k, l, noise = (
         np.asarray(a, float).tolist() for a in
         (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise))
-    status = _stepper(observe == 1, ref_moving == 1)(
+    status = _stepper()(
         z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
         float(w2), cm, k, l, noise, float(rtol), float(atol), rows, steps,
         h_max)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
     if steps is not None:
-        # Every row takes the frozen lanes and the control of the last (z +
-        # 0.0 once a step is taken, z0 if none), then its moving lanes from
-        # the dense output and, with control, u = -K (x - e - r) in
-        # _rhs_impl's order, except the first and last, the stepper's own.
+        # Every row takes the last row (z0 if no step is taken), then its
+        # lanes from the dense output and, with control, u = -K (x - e - r)
+        # in _rhs_impl's order, except the first and last, the stepper's own.
         out[:] = rows[-1]
-        _fill_dense(out, t_grid, steps, ref_moving == 1)
+        _fill_dense(out, t_grid, steps)
         if control == 1:
             d = out[:, 0:4] - out[:, 4:8] - out[:, 8:12]
             for i, (k0, k1, k2, k3) in enumerate(k):
                 out[:, 12 + i] = (0.0 - k0 * d[:, 0] - k1 * d[:, 1]
                                   - k2 * d[:, 2] - k3 * d[:, 3])
         out[[0, -1]] = rows
-    return (out[:, 0:4].copy(), out[:, 4:8].copy(), out[:, 8:12].copy(),
-            out[:, 12:14].copy())
+    return out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:14]
 
 
 # Shampine's quartic interpolant for the Dormand-Prince pair (Hairer,
@@ -483,19 +464,16 @@ _DENSE_P = (
 )
 
 
-def _fill_dense(out, t, steps, ref_moving):
+def _fill_dense(out, t, steps):
     """Write into rows 1 to n - 2 of a free run's (n, 14) output, on the
     grid t, the dense output of the accepted steps the stepper recorded:
-    the moving lanes (the plant, and the reference with `ref_moving`) of
-    each row from the step its time falls in.  Every sum runs elementwise
-    in a fixed order, for all rows at once."""
+    the 12 lanes of each row from the step its time falls in.  Every sum
+    runs elementwise in a fixed order, for all rows at once."""
     if not steps:
         return  # a span too short to step
-    lanes = [0, 1, 2, 3, 8, 9, 10, 11] if ref_moving else [0, 1, 2, 3]
-    m = len(lanes)
     rec = np.array(steps)
-    start, h, y = rec[:, 0], rec[:, 1], rec[:, 2:2 + m]
-    k = rec[:, 2 + m:].reshape(len(steps), 7, m)
+    start, h, y = rec[:, 0], rec[:, 1], rec[:, 2:14]
+    k = rec[:, 14:].reshape(len(steps), 7, 12)
     # qc = h sum_j P[j][c] k_j, the theta^(c + 1) coefficient of y(theta) - y.
     q0, q1, q2, q3 = (
         h[:, None] * sum(p[c] * k[:, j] for j, p in enumerate(_DENSE_P)
@@ -510,4 +488,4 @@ def _fill_dense(out, t, steps, ref_moving):
     for q in (q2, q1, q0, y):
         acc *= th
         acc += q[s]
-    out[1:-1, lanes] = acc
+    out[1:-1, :12] = acc

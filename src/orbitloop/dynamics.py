@@ -139,6 +139,8 @@ def srp_force(
         raise ValueError("irradiance must be non-negative")
     if not area_m2 > 0:
         raise ValueError("area must be positive")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     rho = craft.reflectivity_multiplier if craft is not None else 1.0
     c_m_s = constants.c_light * 1000.0
     pressure = irradiance_w_m2 / c_m_s
@@ -177,6 +179,8 @@ def two_body_srp_derivative(
     """Time derivative of [p, q, pdot, qdot] under central gravity plus SRP
     and control accelerations.  Raises ValueError inside 1 km of the center
     (gravitational singularity guard)."""
+    if not all(math.isfinite(a) for a in (*a_srp, *u)):
+        raise ValueError("SRP and control accelerations must be finite")
     p, q = state.position
     r = math.hypot(p, q)
     if r < 1.0:

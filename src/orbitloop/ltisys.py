@@ -166,7 +166,10 @@ def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:
     Raises SingularMatrixError when s is at (or numerically near) an
     eigenvalue of A.
     """
-    h = _resolvent(sys, np.array([complex(s)]))[0]
+    s = complex(s)
+    if not np.isfinite(s):
+        raise ValueError("s must be finite")
+    h = _resolvent(sys, np.array([s]))[0]
     if np.isnan(h).any():
         raise SingularMatrixError(f"resolvent is numerically singular at s={s}")
     return h
@@ -232,6 +235,8 @@ def zero_input_response(sys: StateSpace, x0, tgrid) -> np.ndarray:
     x0v = np.asarray(x0, dtype=float).reshape(-1)
     if x0v.size != sys.n_states:
         raise DimensionError("x0 has wrong length")
+    if not np.isfinite(x0v).all():
+        raise ValueError("x0 must be finite")
     return _zoh_response(sys.a, np.zeros((x0v.size, 0)), x0v,
                          np.zeros((t.size, 0)), t)
 
@@ -247,6 +252,8 @@ def zero_state_response(sys: StateSpace, u, tgrid) -> np.ndarray:
     um = np.asarray(u, dtype=float)
     if um.shape != (t.size, sys.n_inputs):
         raise DimensionError(f"u must be {t.size}x{sys.n_inputs}")
+    if not np.isfinite(um).all():
+        raise ValueError("u must be finite")
     return _zoh_response(sys.a, sys.b, np.zeros(sys.n_states), um, t)
 
 

@@ -394,6 +394,8 @@ def compute_metrics(rec: SimulationRecord, xf: OrbitState,
     t = rec.times
     if t.size == 0:
         raise ValueError("empty record")
+    if not 0 < settle_band < 1:
+        raise ValueError("settle band must lie in (0, 1)")
     dx = rec.true_states[:, 0] - xf.position[0]
     dy = rec.true_states[:, 1] - xf.position[1]
     pos_err = np.hypot(dx, dy)

@@ -49,6 +49,8 @@ def test_srp_force_rejects_nan_inputs():
         ol.srp_force(math.nan, 20.0, 0.0)
     with pytest.raises(ValueError):
         ol.srp_force(1361.0, math.nan, 0.0)
+    with pytest.raises(ValueError):
+        ol.srp_force(1361.0, 20.0, math.nan)
 
 
 def test_srp_force_reflectivity_scaling():
@@ -104,6 +106,10 @@ def test_two_body_axis_alignment():
     assert d[0] == 0.0 and d[1] == 0.0
     assert abs(d[2] - (-MU / 8000.0**2 + 1e-9 + 1e-3)) < 1e-18
     assert abs(d[3] - 2e-9) < 1e-24
+    for a_srp, u in (((math.nan, 0.0), (0.0, 0.0)),
+                     ((0.0, 0.0), (0.0, math.inf))):
+        with pytest.raises(ValueError):
+            ol.two_body_srp_derivative(state, a_srp=a_srp, u=u)
 
 
 def test_two_body_singularity_guard():

@@ -1,4 +1,4 @@
-"""Kernel checks: the generated steppers and the RHS against independent
+"""Kernel checks: the generated stepper and the RHS against independent
 oracles, pinned output bits, and the statuses that end a run."""
 
 import hashlib
@@ -18,18 +18,22 @@ from orbitloop import _dopri
 
 
 def test_steppers_are_built_on_first_run():
-    # Importing the CLI builds no stepper; a run builds its layout's alone.
+    # Importing the CLI builds no stepper; the first run builds the one
+    # stepper, and an observer run after a free flight builds no other.
     code = ("import numpy as np\n"
             "import orbitloop as ol\n"
             "import orbitloop.cli\n"
             "from orbitloop import _dopri\n"
             "print(_dopri._stepper.cache_info().currsize)\n"
             "ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 1.0]))\n"
+            "print(_dopri._stepper.cache_info().currsize)\n"
+            "ol.run_scenario(ol.Scenario(horizon=1.0,\n"
+            "                            method=ol.Method.OBSERVER_LQR))\n"
             "print(_dopri._stepper.cache_info().currsize)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1"]
+    assert proc.stdout.split() == ["0", "1", "1"]
 
 
 def test_kernel_agrees_with_scipy_rk45():
@@ -86,8 +90,9 @@ def test_nan_error_norm_fails_fast():
 
 def test_python_kernel_calls_rhs_through_its_module(monkeypatch):
     # perfbench counts RHS evaluations by rebinding _dopri._rhs_impl, so the
-    # stepper of every layout must look the RHS up in its module at call
-    # time; one that bound it earlier would run and report no evaluations.
+    # stepper must look the RHS up in its module at call time, for every
+    # (observe, ref_moving) pair; one that bound it earlier would run and
+    # report no evaluations.
     calls = []
     rhs = _dopri._rhs_impl
 
@@ -183,10 +188,11 @@ def _pinned_run(control, observe, plant_linear, ref_moving, noisy):
 
 
 # sha256 of the x, e, r and u series as little-endian float64.  The
-# observer layouts were recorded with the loop-per-lane kernel that preceded
-# the generated steppers, the LQR layouts with the kernel that steps them
+# observer cases were recorded with the loop-per-lane kernel that preceded
+# the generated steppers, the LQR cases with the kernel that steps them
 # from the first grid time to the last under one step cap and fills the
-# rows between from dense output.
+# rows between from dense output; every case kept its bits when one stepper
+# of all 12 lanes replaced the stepper per (observe, ref_moving) pair.
 @pytest.mark.parametrize("layout, digests", [
     ((1, 0, 0, 0, False), (
         "3112aa0ff5e6572afdca6b4d00d07ceacbd9fb3e63bb1a87bfcbebef6e7f2cc6",
@@ -212,15 +218,16 @@ def _pinned_run(control, observe, plant_linear, ref_moving, noisy):
         "observer_only_setpoint_linear_noisy",
         "observer_lqr_arc_nonlinear_noisy"])
 def test_kernel_output_bits_are_pinned(layout, digests):
-    # Every (observe, ref_moving) layout, both plants, held noise and a
-    # frozen setpoint, each pinned to the last bit.
+    # Every (observe, ref_moving) pair, both plants, held noise and a
+    # constant setpoint, each pinned to the last bit.
     out = _pinned_run(*layout)
     got = tuple(hashlib.sha256(a.astype("<f8").tobytes()).hexdigest()
                 for a in out)
     assert got == digests
     if not layout[3]:
-        # A frozen lane's stage inputs are z + 0.0, so the setpoint's -0.0
-        # becomes +0.0 with the first step and stays there.
+        # A setpoint lane's derivatives are +0.0, so its stage inputs are
+        # z + 0.0 and its -0.0 becomes +0.0 with the first step and stays
+        # there.
         r = out[2]
         assert math.copysign(1.0, r[0, 0]) == -1.0
         assert not np.signbit(r[1:, 0]).any() and not r[1:, 0].any()
@@ -371,8 +378,8 @@ def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
     landed = []
     build = _dopri._stepper
 
-    def recording(observe, ref_moving):
-        stepper = build(observe, ref_moving)
+    def recording():
+        stepper = build()
 
         def run(z0, t_out, *args):
             status = stepper(z0, t_out, *args)
@@ -414,7 +421,11 @@ def test_free_lqr_keeps_its_converged_terminal_error(monkeypatch, horizon,
     # against 1.3315e-9 km at 4000 s.  Uncapped steps ended 2.93e-7 km and
     # 9.56e-9 km from the target; capping only the spacing of landed grid
     # times left the 400 s run 5.92e-8 km away at output_dt 5 and 2.81e-7
-    # km at 20, where its steps grew to the grid spacing.
+    # km at 20, where its steps grew to the grid spacing.  The 4000 s
+    # reference is not converged: the default run's terminal error reads
+    # 1.15e-9 to 1.41e-9 km across rtol 1e-8 to 1e-13, so those cases check
+    # the roundoff floor of stepping in absolute coordinates rather than
+    # the integrator's tolerance.
     s = ol.Scenario(horizon=horizon, output_dt=output_dt)
     calls = _count_rhs_calls(monkeypatch)
     got = _lqr_terminal_error(s)

@@ -102,6 +102,9 @@ def test_transfer_near_pole_raises():
                         np.array([[1.0]]))
     with pytest.raises(ol.SingularMatrixError):
         ol.transfer_eval(sys, -1.0)
+    for s in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValueError):
+            ol.transfer_eval(sys, s)
 
 
 def test_frequency_response_first_order():
@@ -168,6 +171,9 @@ def test_zero_input_frozen_and_decay():
                            np.array([[1.0]]))
     x = ol.zero_input_response(scalar, [1.0], np.array([0.0, 1.0]))
     assert abs(x[1, 0] - np.exp(-1.0)) < 1e-12
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ol.zero_input_response(sys, [bad, 0.0], t)
 
 
 def test_zero_input_unstable_mode_growth(plant):
@@ -219,6 +225,9 @@ def test_zero_state_requires_two_dimensional_input():
     for u in (np.ones(5), np.ones((5, 2)), np.ones((4, 1))):
         with pytest.raises(ol.DimensionError):
             ol.zero_state_response(sys, u, t)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ol.zero_state_response(sys, np.full((5, 1), bad), t)
 
 
 def test_step_response_first_order():

@@ -266,6 +266,10 @@ def test_metrics_settling_time():
     assert abs(met.settling_time_s - 4.0) < 0.2
     rec_never = _record_at(states + 1e6, np.zeros((t.size, 2)), t)
     assert ol.compute_metrics(rec_never, s.xf).settling_time_s is None
+    # The band is a fraction of the initial error, as in Scenario.
+    for band in (0.0, 1.0, 5.0, math.nan):
+        with pytest.raises(ValueError):
+            ol.compute_metrics(rec, s.xf, band)
 
 
 def test_compare_methods_report_shape():

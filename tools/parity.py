@@ -26,9 +26,11 @@ doubled measurement matrix, with a custom disturbance matrix and noise,
 with a constant setpoint and xhat0, observer_only on the linear plant
 with a constant setpoint and noise, and `lqr` with output_dt_s 5 and
 `uncontrolled` with output_dt_s 20, whose steps must not follow the grid;
+`compare` on a constant setpoint whose first coordinate is -0.0, which
+every run turns into +0.0 with its first step;
 `lambert` and `drift` on the default scenario; the plunge that exits 1
 ("trajectory radius fell below 1 km"); and all seven commands on the 32
-perfbench design_pool() scenarios at horizon_s=200: 258 runs in all.  The
+perfbench design_pool() scenarios at horizon_s=200: 259 runs in all.  The
 scenario files and the pool are read from the checkout that holds this
 script, so both sides of a comparison run the same inputs.  Standard
 library only; runs one CLI process at a time.
@@ -103,6 +105,9 @@ def matrix() -> list[tuple[str, str, dict, list[str], str]]:
          {**short, "method": "lqr", "output_dt_s": 5.0}, [], "csv"),
         ("uncontrolled_output_dt_20", "simulate",
          {**short, "method": "uncontrolled", "output_dt_s": 20.0}, [], "csv"),
+        ("setpoint_compare", "compare",
+         {**short, "reference_mode": "constant_setpoint",
+          "xf": [-0.0, 7000.0, 7.546, 0.0]}, [], "csv"),
         ("lambert", "lambert", {}, [], "csv"),
         ("drift", "drift", {}, [], "csv"),
         ("plunge", "simulate",
