@@ -1,17 +1,23 @@
 """Adaptive Dormand-Prince 4(5) propagation kernel (the hot loop).
 
 A stepper advances the 12-state closed-loop system — true plant,
-observer estimation error, and reference arc — honoring rtol/atol.  Only a
-run with an observer lands exactly on every grid time, so piecewise-constant
-measurement noise never straddles a sample interval.  A run without one (a
-free flight: `uncontrolled` runs, `drift`, the `lambert` closure check,
-every `propagate_two_body`; or an `lqr` run) steps from the first grid time
-to the last in one pass, no step longer than a tenth of the span
-(_FREE_STEPS) or, with control, than _CLOSED_LOOP_STEP / rho(A - B K),
-recording each accepted step, and `_fill_dense` fills the rows between from
-Shampine's quartic dense output of the Dormand-Prince pair.  An LQR run's
-filled rows' control is u = -K (x - e - r) at their state.  The output grid
-thus never steers such a run's steps.
+observer estimation error, and reference arc — honoring rtol/atol.  An
+observer run lands exactly on every grid time when its measurement is
+noisy, so piecewise-constant measurement noise never straddles a sample
+interval, or when its plant is linear, where criterion 6 holds the error
+block to a zero-order-hold recursion on the grid, bit for bit.  Every other
+run (a free run: `uncontrolled` runs, `drift`, the `lambert` closure check,
+every `propagate_two_body`, an `lqr` run, or a noise-free observer run on
+the nonlinear plant) steps from the first grid time to the last in one
+pass, no step longer than a tenth of the span (_FREE_STEPS) or than
+_CLOSED_LOOP_STEP / rho for each closed loop it carries: A - B K with
+control, A - L C with an observer.  It records each accepted step as one
+row of a reused (_CHUNK, 86) float64 buffer, and whenever the buffer is
+full, and once at the end, `_fill_dense` fills the grid rows before the
+stepper's time from Shampine's quartic dense output of the Dormand-Prince
+pair, so a run's memory follows its output grid, not its step count.  A
+filled row's control is u = -K (x - e - r) at its state with control.  The
+output grid thus never steers a free run's steps.
 
 The stepper is straight-line code generated from the tableau (`_TABLEAU_*`)
 by `_stepper_source`, one function for every run.  It holds the 12 states
@@ -35,8 +41,9 @@ inputs as x[i][j], and `propagate_grid`, its only wrapper, converts its
 inputs to them: an element of an ndarray reads back as a numpy scalar,
 whose arithmetic is several times slower than a float's.  The stepper
 writes each sample it lands on as one row (z_0, ..., z_11, ux, uy) of a
-preallocated (n, 14) ndarray, and `propagate_grid` raises NumericalError
-for any status but STATUS_OK.
+preallocated (n, 14) ndarray, packs each step it records into its buffer
+with `struct` (assigning a tuple to an ndarray row took twice as long),
+and `propagate_grid` raises NumericalError for any status but STATUS_OK.
 
 State layout, known only to this module: z = [x (true, 4) | e = x - xhat
 (4) | reference (4)], which `propagate_grid` takes and returns as three
@@ -56,7 +63,7 @@ that does not move adds +0.0 terms to its sum, so a run is held to a
 tolerance looser than its rtol/atol by sqrt(12/8) = sqrt(1.5) with one
 such block (uncontrolled and LQR runs on a moving reference) and by
 sqrt(3) with two (`drift`, the `lambert` closure).  Under the step cap of
-a run without an observer, that loosening sets its step sizes.  The
+a free run without an observer, that loosening sets its step sizes.  The
 divisor stays 12 so that the default `lambert` closure keeps its steps and
 bits: dividing by the moving lanes would move its residual from 9.60e-5 to
 6.10e-5 km.
@@ -65,6 +72,8 @@ bits: dividing by the moving lanes would move its residual from 9.60e-5 to
 from __future__ import annotations
 
 import functools
+import math
+import struct
 import sys
 
 import numpy as np
@@ -85,18 +94,28 @@ _STATUS_MESSAGES = {
 }
 
 _MAX_STEPS = 50_000_000  # steps one run may take before STATUS_STEP_BUDGET
-# A run without an observer takes no step longer than its span over this,
+# A free run takes no step longer than its span over this,
 # as with ode45's default MaxStep (Shampine & Reichelt 1997, SIAM J. Sci.
 # Comput. 18(1)).
 _FREE_STEPS = 10
-# An LQR run's steps are also at most this over the spectral radius rho of
-# its linearized closed loop A - B K, so that they stay off the
-# Dormand-Prince stability limit on the closed-loop poles, to which
-# uncapped steps grow.  On the default scenario (rho = 1 /s) at 400 s the
-# capped run ends 9.7254e-10 km from the target in 1519 RHS calls, against
-# 9.8244e-10 km at rtol 1e-12 and 2.93e-7 km in 1207 calls uncapped;
-# landing on every 0.1 s sample took 24001 calls.
+# A free run's steps are also at most this over the spectral radius rho of
+# each linearized closed loop it carries, A - B K with control and A - L C
+# with an observer (a loop with rho = 0 sets no cap), so that they stay off
+# the Dormand-Prince stability limit on the closed-loop poles, to which
+# uncapped steps grow.  On the default scenario (rho = 1 /s for LQR) at
+# 400 s the capped LQR run ends 9.7254e-10 km from the target in 1519 RHS
+# calls, against 9.8244e-10 km at rtol 1e-12 and 2.93e-7 km in 1207 calls
+# uncapped; landing on every 0.1 s sample took 24001 calls.  Its observer
+# (rho = 4 /s) caps observer runs at 0.5 s, which 87% of the 400 s
+# `observer_lqr` run's 891 steps reach; uncapped, its steps grow to the
+# stability limit, 0.81 s in the median.
 _CLOSED_LOOP_STEP = 2.0
+# A free run records this many accepted steps before `_fill_dense` fills
+# the grid rows they cover and the buffer is reused.
+_CHUNK = 256
+# `_fill_dense` fills at most this many grid rows per pass, so that its
+# (rows, 12) temporaries stay in cache.
+_FILL_ROWS = 2048
 
 
 # What _rhs_impl returns when the plant or the reference is within 1 km of
@@ -212,7 +231,7 @@ _TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # stage-s derivative ks_i, and its new state zn_i.
 _STEPPER_TEMPLATE = '''
 def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
-            w2, cm, k, l, noise, rtol, atol, out, steps, h_max):
+            w2, cm, k, l, noise, rtol, atol, out, buf, fill, h_max):
     @load_z0
     # The first RHS evaluation, at z0, gives sample 0's control.
     nx = noise[0][0]
@@ -224,6 +243,7 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
 
     h = -1.0
     tries = 0
+    recorded = 0
     for seg in range(len(t_out) - 1):
         t = t_out[seg]
         t_end = t_out[seg + 1]
@@ -290,6 +310,7 @@ def stepper(z0, t_out, mu, gw, control, observe, plant_linear, ref_moving,
         # The last RHS call was at z, so ux and uy are its control.
         @store_sample
 
+    @fill_rest
     return STATUS_OK
 '''
 
@@ -352,17 +373,24 @@ def _stepper_source():
         "error_norm": error_norm,
         "check_finite": [f"if not ({' and '.join(map(_FINITE.format, lanes))}):",
                          "    return STATUS_NOT_FINITE"],
-        # Observer runs pass h_max = inf and steps = None.  A run without an
-        # observer records each accepted step for the dense output: its
-        # start time and size, then the start state and k1 to k7.
+        # Landing runs pass h_max = inf and buf = fill = None.  A free run
+        # records each accepted step as one row of buf, for the dense output;
+        # when buf is full, fill() first fills the grid rows before t from
+        # it, and at the end every row left.
         "cap": ["if h > h_max:", "    h = h_max"],
         "record": [
-            "if steps is not None:",
-            f"    steps.append((t, hs, {names('z_{}')}, "
-            + ", ".join(names(f"k{s}_{{}}") for s in range(1, 8)) + "))"],
+            "if buf is not None:",
+            "    if recorded == _CHUNK:",
+            "        fill(recorded, t)",
+            "        recorded = 0",
+            f"    _STEP.pack_into(buf, recorded * {_STEP.size}, t, hs, "
+            f"{names('z_{}')}, "
+            + ", ".join(names(f"k{s}_{{}}") for s in _DENSE_STAGES) + ")",
+            "    recorded += 1"],
         "accept": [f"{names('z_{}')} = {names('zn_{}')}",
                    f"{names('k1_{}')} = {names('k7_{}')}"],
         "store_sample": [f"out[seg + 1] = {sample}"],
+        "fill_rest": ["if buf is not None:", "    fill(recorded, math.inf)"],
     }
     out = []
     for line in _STEPPER_TEMPLATE.splitlines():
@@ -396,49 +424,53 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
     NumericalError with the kernel's status if the run fails.  `control`
     and `observe` are the ints 0 or 1.
 
-    A run with an observer lands on every grid time.  A run without one
-    hands the stepper only the first and last, under a step cap of a tenth
-    of the span (_FREE_STEPS) and, with control, of _CLOSED_LOOP_STEP /
-    rho(A - B K), rho being the spectral radius of the closed loop
-    linearized through w2 and k; `_fill_dense` fills the rows between from
-    its accepted steps, and each filled row's control is u = -K (x - e - r),
-    summed in _rhs_impl's order.  Row 0 is z0 and the last row the
-    stepper's final state."""
+    An observer run with noisy measurements or a linear plant lands on
+    every grid time: its held noise must not straddle a sample, and on the
+    linear plant criterion 6 holds its error block to the zero-order-hold
+    recursion on the grid.  Every other run is free: it hands the stepper
+    only the first and last grid time, under a step cap of a tenth of the
+    span (_FREE_STEPS) and of _CLOSED_LOOP_STEP / rho for each closed loop,
+    linearized through w2, that it carries (A - B K with control, A - L C
+    with an observer, skipping rho = 0).  The stepper records its accepted
+    steps _CHUNK at a time, and `_fill_dense` fills the rows between from
+    each chunk; a filled row's control is u = -K (x - e - r), summed in
+    _rhs_impl's order.  Row 0 is z0 and the last row the stepper's final
+    state."""
     n = len(t_out)
     out = np.empty((n, 14))
-    t_grid = np.asarray(t_out, float)
-    rows, steps, h_max = out, None, np.inf
-    if observe == 0:
-        rows, steps = np.empty((2, 14)), []
+    rows, buf, fill, h_max = out, None, None, np.inf
+    free = observe == 0 or (plant_linear == 0 and not np.any(noise))
+    if free:
+        t_grid = np.asarray(t_out, float)
+        rows, buf = np.empty((2, 14)), np.empty((_CHUNK, _STEP.size // 8))
+        fill = functools.partial(_fill_dense, out, t_grid, rows, buf,
+                                 np.asarray(k, float) if control else None)
         t_out, noise = t_grid[[0, -1]], np.asarray(noise)[:1]
         h_max = float(t_grid[-1] - t_grid[0]) / _FREE_STEPS
+        plant = np.zeros((4, 4))  # A
+        plant[0, 2] = plant[1, 3] = 1.0
+        plant[2, 0] = plant[3, 1] = w2
+        loops = []
         if control == 1:
-            closed = np.zeros((4, 4))  # A - B K
-            closed[0, 2] = closed[1, 3] = 1.0
-            closed[2, 0] = closed[3, 1] = w2
-            closed[2:] -= k
-            h_max = min(h_max, _CLOSED_LOOP_STEP
-                        / float(np.abs(np.linalg.eigvals(closed)).max()))
+            b_k = np.zeros((4, 4))
+            b_k[2:] = k
+            loops.append(plant - b_k)
+        if observe == 1:
+            loops.append(plant - np.dot(l, cm))
+        for loop in loops:
+            rho = float(np.abs(np.linalg.eigvals(loop)).max())
+            if rho > 0.0:
+                h_max = min(h_max, _CLOSED_LOOP_STEP / rho)
     z0, t_out, gw, cm, k, l, noise = (
         np.asarray(a, float).tolist() for a in
         (np.concatenate((x0, e0, r0)), t_out, gw, cm, k, l, noise))
     status = _stepper()(
         z0, t_out, float(mu), gw, control, observe, plant_linear, ref_moving,
-        float(w2), cm, k, l, noise, float(rtol), float(atol), rows, steps,
+        float(w2), cm, k, l, noise, float(rtol), float(atol), rows, buf, fill,
         h_max)
     if status != STATUS_OK:
         raise NumericalError(_STATUS_MESSAGES[status])
-    if steps is not None:
-        # Every row takes the last row (z0 if no step is taken), then its
-        # lanes from the dense output and, with control, u = -K (x - e - r)
-        # in _rhs_impl's order, except the first and last, the stepper's own.
-        out[:] = rows[-1]
-        _fill_dense(out, t_grid, steps)
-        if control == 1:
-            d = out[:, 0:4] - out[:, 4:8] - out[:, 8:12]
-            for i, (k0, k1, k2, k3) in enumerate(k):
-                out[:, 12 + i] = (0.0 - k0 * d[:, 0] - k1 * d[:, 1]
-                                  - k2 * d[:, 2] - k3 * d[:, 3])
+    if free:
         out[[0, -1]] = rows
     return out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:14]
 
@@ -447,7 +479,8 @@ def propagate_grid(x0, t_out, e0, r0, mu, gw, control, observe,
 # Norsett & Wanner, Solving ODEs I, II.6, with Shampine's optimal c6): in a
 # step of size h from y, y(t + theta h) = y + h sum_j b_j(theta) k_j, with
 # b_j(theta) = sum_c P[j][c] theta^(c + 1), stage 7 being the FSAL stage at
-# the new state.  Stage 2's row is zero.
+# the new state.  Stage 2's row is zero, so a step records only the other
+# stages (_DENSE_STAGES).
 _DENSE_P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432),
@@ -462,30 +495,55 @@ _DENSE_P = (
      -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_DENSE_STAGES = tuple(s for s, p in enumerate(_DENSE_P, 1) if any(p))
+# A recorded step, one buffer row: its start time and size, the 12 states at
+# its start, and the derivatives of each of _DENSE_STAGES.
+_STEP = struct.Struct(f"{14 + 12 * len(_DENSE_STAGES)}d")
 
 
-def _fill_dense(out, t, steps):
-    """Write into rows 1 to n - 2 of a free run's (n, 14) output, on the
-    grid t, the dense output of the accepted steps the stepper recorded:
-    the 12 lanes of each row from the step its time falls in.  Every sum
-    runs elementwise in a fixed order, for all rows at once."""
-    if not steps:
-        return  # a span too short to step
-    rec = np.array(steps)
-    start, h, y = rec[:, 0], rec[:, 1], rec[:, 2:14]
-    k = rec[:, 14:].reshape(len(steps), 7, 12)
+def _fill_dense(out, t, rows, buf, k, count, t_stop):
+    """Write into the rows of a free run's (n, 14) output, on the grid t,
+    between row 0 and row n - 1 whose time is from the start of the first
+    of the `count` steps in buf (rows earlier were filled from earlier
+    steps) to before t_stop: the 12 lanes of each row from the dense output
+    of the step its time falls in, the last step taking every row after
+    it, and, with the gain k, the control u = -K (x - e - r) at that state
+    in _rhs_impl's order (else +0.0).  Every sum runs elementwise in a fixed
+    order, up to _FILL_ROWS rows at a time.  With no step (a span too
+    short to step) every such row is the stepper's last row, `rows[-1]`."""
+    if count == 0:
+        out[1:-1] = rows[-1]
+        return
+    steps = buf[:count]
+    start, h, y = steps[:, 0], steps[:, 1], steps[:, 2:14]
+    lo = max(1, int(np.searchsorted(t, start[0])))
+    hi = min(len(t) - 1, int(np.searchsorted(t, t_stop)))
+    if lo >= hi:
+        return  # no grid time falls in these steps
+    d_k = steps[:, 14:].reshape(count, len(_DENSE_STAGES), 12)
     # qc = h sum_j P[j][c] k_j, the theta^(c + 1) coefficient of y(theta) - y.
     q0, q1, q2, q3 = (
-        h[:, None] * sum(p[c] * k[:, j] for j, p in enumerate(_DENSE_P)
-                         if p[c])
+        h[:, None] * sum(_DENSE_P[s - 1][c] * d_k[:, j]
+                         for j, s in enumerate(_DENSE_STAGES)
+                         if _DENSE_P[s - 1][c])
         for c in range(4))
-    inner = t[1:-1]
-    s = np.searchsorted(start[1:], inner, side="right")  # each row's step
-    th = ((inner - start[s]) / h[s])[:, None]
-    # y + th (q0 + th (q1 + th (q2 + th q3))), in place: a product or a sum
-    # rounds the same with its operands swapped.
-    acc = q3[s]
-    for q in (q2, q1, q0, y):
-        acc *= th
-        acc += q[s]
-    out[1:-1, :12] = acc
+    for a in range(lo, hi, _FILL_ROWS):
+        b = min(a + _FILL_ROWS, hi)
+        s = np.searchsorted(start[1:], t[a:b], side="right")  # each row's step
+        th = ((t[a:b] - start[s]) / h[s])[:, None]
+        # y + th (q0 + th (q1 + th (q2 + th q3))), in place: a product or a
+        # sum rounds the same with its operands swapped.  The accumulator is
+        # a contiguous copy: in place in `out`'s strided rows took twice as
+        # long.
+        acc = q3[s]
+        for q in (q2, q1, q0, y):
+            acc *= th
+            acc += q[s]
+        out[a:b, :12] = acc
+        if k is None:
+            out[a:b, 12:] = 0.0
+            continue
+        d = acc[:, 0:4] - acc[:, 4:8] - acc[:, 8:12]
+        for i, (k0, k1, k2, k3) in enumerate(k):
+            out[a:b, 12 + i] = (0.0 - k0 * d[:, 0] - k1 * d[:, 1]
+                                - k2 * d[:, 2] - k3 * d[:, 3])

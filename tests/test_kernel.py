@@ -3,6 +3,7 @@ oracles, pinned output bits, and the statuses that end a run."""
 
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import subprocess
@@ -367,39 +368,110 @@ def test_free_flight_fills_the_grid_from_dense_output(monkeypatch):
     assert np.array_equal(_bits(x), _bits([x0] * 12))
 
 
-@pytest.mark.parametrize("layout", [(1, 0, 0, 0, False), (1, 0, 1, 1, False)],
-                         ids=["lqr_setpoint_nonlinear", "lqr_arc_linear"])
-def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
-        monkeypatch, layout):
-    # An LQR run lands on its first and last grid times and fills the rows
-    # between from dense output.  The landed rows are the stepper's own, and
-    # every row's control is the one _rhs_impl gives at that row's state,
-    # bit for bit.
-    landed = []
+def _stepper_calls(monkeypatch):
+    """The arguments of every stepper call, by name, with a copy of the
+    rows it landed on (`out`) once it returns."""
+    calls = []
     build = _dopri._stepper
 
     def recording():
         stepper = build()
 
-        def run(z0, t_out, *args):
-            status = stepper(z0, t_out, *args)
-            landed.append((t_out, args[-3].copy()))  # the grid and rows
+        def run(*args):
+            status = stepper(*args)
+            bound = inspect.signature(stepper).bind(*args).arguments
+            calls.append(dict(bound, out=bound["out"].copy()))
             return status
         return run
 
     monkeypatch.setattr(_dopri, "_stepper", recording)
+    return calls
+
+
+@pytest.mark.parametrize("layout", [
+    (1, 0, 0, 0, False), (1, 0, 1, 1, False), (1, 1, 0, 1, False),
+], ids=["lqr_setpoint_nonlinear", "lqr_arc_linear",
+        "observer_lqr_arc_nonlinear"])
+def test_free_lqr_rows_come_from_the_stepper_and_the_control_law(
+        monkeypatch, layout):
+    # An LQR run, and a noise-free observer run on the nonlinear plant,
+    # lands on its first and last grid times and fills the rows between
+    # from dense output.  The landed rows are the stepper's own, and every
+    # row's control is the one _rhs_impl gives at that row's state, bit for
+    # bit.
+    calls = _stepper_calls(monkeypatch)
     out = np.hstack(_pinned_run(*layout))
-    ((t_landed, rows),) = landed
+    (call,) = calls
     t = np.arange(41) * 0.5
-    idx = np.searchsorted(t, t_landed)
-    assert np.array_equal(t[idx], t_landed) and idx.tolist() == [0, 40]
-    assert np.array_equal(_bits(out[idx]), _bits(rows))
-    plant_linear, ref_moving = layout[2:4]
+    idx = np.searchsorted(t, call["t_out"])
+    assert np.array_equal(t[idx], call["t_out"]) and idx.tolist() == [0, 40]
+    assert np.array_equal(_bits(out[idx]), _bits(call["out"]))
+    control, observe, plant_linear, ref_moving = layout[:4]
     for row in out:
         _, ux, uy, *_ = _dopri._rhs_impl(
-            tuple(row[:12].tolist()), 398600.4418, PIN_GW, 1, 0,
+            tuple(row[:12].tolist()), 398600.4418, PIN_GW, control, observe,
             plant_linear, ref_moving, PIN_W2, PIN_C, PIN_K, PIN_L, 0.0, 0.0)
         assert np.array_equal(_bits(row[12:]), _bits([ux, uy]))
+
+
+@pytest.mark.parametrize("layout", [(1, 1, 0, 1, True), (1, 1, 1, 1, False)],
+                         ids=["noisy_nonlinear", "noise_free_linear"])
+def test_observer_runs_that_land_get_the_whole_grid(monkeypatch, layout):
+    # A noisy observer run lands on every sample, so that its held noise
+    # never straddles one, and so does an observer run on the linear plant,
+    # whose error block criterion 6 holds to the zero-order-hold recursion
+    # on the grid: the stepper gets the whole grid and records no steps.
+    calls = _stepper_calls(monkeypatch)
+    _pinned_run(*layout)
+    (call,) = calls
+    assert call["t_out"] == (np.arange(41) * 0.5).tolist()
+    assert call["buf"] is None and call["h_max"] == math.inf
+
+
+def test_noise_free_observer_run_steps_freely(monkeypatch):
+    # The default observer_lqr run at 400 s, on the nonlinear plant with no
+    # measurement noise, steps freely under the observer loop's cap
+    # 2 / rho(A - L C) = 0.5 s: 5377 RHS calls, where landing on every 0.1 s
+    # sample took 24415.  Its final x and e read 7.8e-11 and 9.7e-12 km from
+    # an rtol 1e-12 / atol 1e-13 run.
+    s = ol.Scenario(horizon=400.0, method=ol.Method.OBSERVER_LQR)
+    calls = _count_rhs_calls(monkeypatch)
+    rec = ol.run_scenario(s)
+    assert len(calls) <= 6000
+    tight = ol.run_scenario(replace(s, rtol=1e-12, atol=1e-13))
+    assert np.abs(rec.true_states[-1, :2]
+                  - tight.true_states[-1, :2]).max() <= 1e-9
+    assert np.abs(rec.estimation_error[-1, :2]
+                  - tight.estimation_error[-1, :2]).max() <= 1e-9
+
+
+def test_recorded_steps_take_bounded_memory():
+    # A free run records its steps in one reused buffer of _CHUNK steps, so
+    # a two-point flight of 2e5 s (about 700 steps) peaks at about 0.2 MB
+    # under tracemalloc; a list of every step took 1.86 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ol.propagate_two_body(ol.Scenario().x0, np.array([0.0, 2e5]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_chunked_recording_and_fill_keep_their_bits(monkeypatch):
+    # The default LQR run at 400 s (253 steps over 4001 rows) gives the same
+    # bits whether its steps are recorded 3 or 1000 at a time and its rows
+    # filled 5 or 5000 at a time.
+    s = ol.Scenario(horizon=400.0, method=ol.Method.LQR)
+    runs = []
+    for chunk, fill_rows in ((3, 5), (1000, 5000)):
+        monkeypatch.setattr(_dopri, "_CHUNK", chunk)
+        monkeypatch.setattr(_dopri, "_FILL_ROWS", fill_rows)
+        rec = ol.run_scenario(s)
+        runs.append(np.hstack((rec.true_states, rec.reference, rec.controls)))
+    assert np.array_equal(_bits(runs[0]), _bits(runs[1]))
 
 
 def _lqr_terminal_error(s, **tolerances):
